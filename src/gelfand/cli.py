@@ -263,26 +263,34 @@ def cmd_matrix(cfg: RunConfig) -> int:
 
 
 def _verify_reports(cfg: RunConfig) -> list[Report]:
-    scope = cfg.scope
+    """Refuse any requested scope beyond a cap, then run the suites in order.
+
+    Every cap check, the oracle caps included, comes before the first suite
+    starts, so a refused ``--scope all`` request does no work.
+    """
     n = cfg.n
-    reports = []
-    if scope in ("sn", "all"):
-        cap = _cap("verify_sn_slow" if cfg.slow else "verify_sn")
-        _require_cap(n if scope == "sn" else min(n, cap), "verify_sn_slow" if cfg.slow else "verify_sn", "sn verification")
-        reports.append(model_sn.verify_sn_model(min(n, cap) if scope == "all" else n, seed=cfg.seed, cap=cap))
-    if scope in ("hecke", "all"):
-        cap = _cap("verify_hecke")
-        _require_cap(n if scope == "hecke" else min(n, cap), "verify_hecke", "hecke verification")
-        reports.append(model_hecke.verify_hecke_model(min(n, cap) if scope == "all" else n, cap=cap))
-    if scope in ("rsk", "all"):
-        cap = _cap("verify_rsk")
-        _require_cap(n if scope == "rsk" else min(n, cap), "verify_rsk", "rsk verification")
-        reports.append(rsk.verify_rsk(min(n, cap) if scope == "all" else n))
-    if scope in ("typeb", "all"):
-        cap = _cap("verify_typeb_slow" if cfg.slow else "verify_typeb")
-        _require_cap(n if scope == "typeb" else min(n, cap), "verify_typeb_slow" if cfg.slow else "verify_typeb", "typeb verification")
-        reports.append(typeb.verify_b_model(min(n, cap) if scope == "all" else n, cap=cap))
-    return reports
+    sn_cap = "verify_sn_slow" if cfg.slow else "verify_sn"
+    typeb_cap = "verify_typeb_slow" if cfg.slow else "verify_typeb"
+    scopes = (
+        ("sn", sn_cap, model_sn.check_verify_caps,
+         lambda m, cap: model_sn.verify_sn_model(m, seed=cfg.seed, cap=cap)),
+        ("hecke", "verify_hecke", model_hecke.check_verify_caps,
+         lambda m, cap: model_hecke.verify_hecke_model(m, cap=cap)),
+        ("rsk", "verify_rsk", lambda m, cap: rsk.check_verify_caps(m),
+         lambda m, cap: rsk.verify_rsk(m)),
+        ("typeb", typeb_cap, typeb.check_verify_caps,
+         lambda m, cap: typeb.verify_b_model(m, cap=cap)),
+    )
+    runs = []
+    for scope, cap_name, check_caps, run in scopes:
+        if cfg.scope not in (scope, "all"):
+            continue
+        cap = _cap(cap_name)
+        m = n if cfg.scope == scope else min(n, cap)
+        _require_cap(m, cap_name, f"{scope} verification")
+        check_caps(m, cap)
+        runs.append((run, m, cap))
+    return [run(m, cap) for run, m, cap in runs]
 
 
 def cmd_verify(cfg: RunConfig) -> int:

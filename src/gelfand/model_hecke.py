@@ -83,11 +83,16 @@ def _conjugation_distances(n: int, k: int) -> dict[Window, int]:
     return dist
 
 
+def check_oracle_cap(n: int) -> None:
+    """Refuse an n beyond the BFS length oracle's cap."""
+    if n > ORACLE_CAP:
+        raise CapacityError(f"involutive length oracle capped at n={ORACLE_CAP}")
+
+
 def involutive_length_oracle(w: Window) -> int:
     """Shortest-conjugator length of an involution, by BFS; capped at n=8."""
     n = len(w)
-    if n > ORACLE_CAP:
-        raise CapacityError(f"involutive length oracle capped at n={ORACLE_CAP}")
+    check_oracle_cap(n)
     if not perm.is_involution(w):
         raise ValueError(f"{w} is not an involution")
     return _conjugation_distances(n, len(perm.involution_pairs(w)))[w]
@@ -257,10 +262,16 @@ def _orbit_interval_witness(n: int) -> str | None:
     return None
 
 
-def verify_hecke_model(n: int, *, cap: int = HECKE_VERIFY_CAP) -> Report:
-    """Check the defining relations, the grading, and the trace identity."""
+def check_verify_caps(n: int, cap: int = HECKE_VERIFY_CAP) -> None:
+    """Refuse an n that verify_hecke_model or its length oracle would reject."""
     if not 2 <= n <= cap:
         raise CapacityError(f"verify_hecke_model needs 2 <= n <= {cap}, got {n}")
+    check_oracle_cap(n)
+
+
+def verify_hecke_model(n: int, *, cap: int = HECKE_VERIFY_CAP) -> Report:
+    """Check the defining relations, the grading, and the trace identity."""
+    check_verify_caps(n, cap)
     basis = model_basis(n)
     checks: list[Check] = []
 

@@ -105,15 +105,34 @@ def rho_generator_matrix(i: int, basis: ModelBasis) -> SignedPermMatrix:
     return SignedPermMatrix(basis.dim, tuple(rows), tuple(signs))
 
 
+@lru_cache(maxsize=None)
+def _basis_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The 2-cycles of every involution of model_basis(n), in basis order."""
+    return tuple(perm.involution_pairs(w) for w in model_basis(n).involutions)
+
+
 def rho_matrix(p: Window, basis: ModelBasis) -> SignedPermMatrix:
-    """Action of an arbitrary permutation via the inversion-count sign."""
-    if len(p) != basis.n:
-        raise ValueError(f"size mismatch: {len(p)} vs n={basis.n}")
+    """Action of an arbitrary permutation via the inversion-count sign.
+
+    Computed for each basis element on its own, never as a product over a
+    generator word, so that the multiplicativity check compares two
+    independent constructions.
+    """
+    n = basis.n
+    if len(p) != n:
+        raise ValueError(f"size mismatch: {len(p)} vs n={n}")
+    p_inv = perm.inverse(p)
+    image = (0, *p)  # image[i] = p(i), indexed from 1
     rows = []
     signs = []
-    for w in basis.involutions:
-        rows.append(basis.index[perm.conjugate(p, w)])
-        signs.append(-1 if inv_w(p, w) % 2 else 1)
+    for w, pairs in zip(basis.involutions, _basis_pairs(n)):
+        # p w p^-1, read off position by position.
+        rows.append(basis.index[tuple([image[w[j - 1]] for j in p_inv])])
+        sign = 1
+        for a, b in pairs:
+            if image[a] > image[b]:
+                sign = -sign
+        signs.append(sign)
     return SignedPermMatrix(basis.dim, tuple(rows), tuple(signs))
 
 
@@ -256,6 +275,13 @@ def orbit_checks(n: int) -> list[Check]:
     ]
 
 
+def check_verify_caps(n: int, cap: int = SN_VERIFY_CAP) -> None:
+    """Refuse an n that verify_sn_model or its square-root oracle would reject."""
+    if not 2 <= n <= cap:
+        raise CapacityError(f"verify_sn_model needs 2 <= n <= {cap}, got {n}")
+    perm.check_square_roots_cap(n)
+
+
 def verify_sn_model(
     n: int,
     *,
@@ -264,9 +290,12 @@ def verify_sn_model(
     sample_pairs: int = 200,
     sample_triples: int = 200,
 ) -> Report:
-    """Check the defining relations, homomorphy and the character identities."""
-    if not 2 <= n <= cap:
-        raise CapacityError(f"verify_sn_model needs 2 <= n <= {cap}, got {n}")
+    """Check the defining relations, homomorphy and the character identities.
+
+    The square-root counts on every class come from one shared exhaustive
+    sweep of S_n (see ``perm.square_roots_count``).
+    """
+    check_verify_caps(n, cap)
     basis = model_basis(n)
     rng = random.Random(seed)
     checks: list[Check] = []

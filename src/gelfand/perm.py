@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import CapacityError
@@ -58,12 +59,6 @@ def generator(n: int, i: int) -> Window:
         raise ValueError(f"generator index {i} out of range for n={n}")
     w = list(range(1, n + 1))
     w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
-
-
-def transposition(n: int, a: int, b: int) -> Window:
-    w = list(range(1, n + 1))
-    w[a - 1], w[b - 1] = w[b - 1], w[a - 1]
     return tuple(w)
 
 
@@ -183,20 +178,37 @@ def enumerate_involutions(n: int) -> tuple[Window, ...]:
     return tuple(sorted(out))
 
 
-def square_roots_count(p: Window) -> int:
-    """Number of u with u*u = p, found by exhausting S_n.
-
-    Deliberately brute force so it can serve as an oracle for closed-form
-    counts; refuses n beyond SQUARE_ROOTS_CAP.
-    """
-    n = len(p)
+def check_square_roots_cap(n: int) -> None:
+    """Refuse an n whose square roots are too many to count by exhausting S_n."""
     if n > SQUARE_ROOTS_CAP:
         raise CapacityError(
             f"square root enumeration capped at n={SQUARE_ROOTS_CAP}, got {n}"
         )
-    return sum(
-        1 for u in itertools.permutations(range(1, n + 1)) if compose(u, u) == p
-    )
+
+
+@lru_cache(maxsize=None)
+def _square_counts(n: int) -> dict[Window, int]:
+    """How many u in S_n have u*u = p, for every square p: one sweep of S_n.
+
+    Keyed by the square itself, not by its cycle type, so the oracle does not
+    presume that the count is a class function.
+    """
+    counts: dict[Window, int] = {}
+    for u in itertools.permutations(range(1, n + 1)):
+        sq = compose(u, u)
+        counts[sq] = counts.get(sq, 0) + 1
+    return counts
+
+
+def square_roots_count(p: Window) -> int:
+    """Number of u with u*u = p, found by exhausting S_n.
+
+    Deliberately brute force so it can serve as an oracle for closed-form
+    counts: every call at the same n reads one shared exhaustive sweep of S_n.
+    Refuses n beyond SQUARE_ROOTS_CAP.
+    """
+    check_square_roots_cap(len(p))
+    return _square_counts(len(p)).get(p, 0)
 
 
 def is_partition(parts: Sequence[int]) -> bool:

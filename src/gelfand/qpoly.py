@@ -30,10 +30,6 @@ class QPoly:
     def constant(cls, c: int) -> "QPoly":
         return cls({0: c})
 
-    @classmethod
-    def from_coeff_list(cls, coeffs: Iterable[int]) -> "QPoly":
-        return cls(enumerate(coeffs))
-
     @property
     def coeffs(self) -> dict[int, int]:
         return dict(self._terms)

@@ -45,12 +45,3 @@ class Report:
             suffix = f": {c.detail}" if c.detail else ""
             lines.append(f"  [{mark}] {c.name}{suffix}")
         return "\n".join(lines)
-
-
-def merge(scope: str, n: int, *reports: Report) -> Report:
-    checks = tuple(
-        Check(f"{r.scope}: {c.name}", c.passed, c.detail)
-        for r in reports
-        for c in r.checks
-    )
-    return Report(scope, n, checks)

@@ -2,8 +2,8 @@
 
 Tableaux are tuples of strictly increasing row tuples.  The irreducible
 Hecke character is assembled from mu-unimodal permutations with a fixed
-insertion tableau; the Murnaghan-Nakayama recursion provides an independent
-integer oracle for its q=1 specialization.
+insertion tableau, found by inverse insertion; the Murnaghan-Nakayama
+recursion provides an independent integer oracle for its q=1 specialization.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import itertools
 from functools import lru_cache
 
 from . import perm
+from .errors import CapacityError
 from .model_hecke import mu_descent_number
 from .perm import Partition, Window
 from .qpoly import ZERO, QPoly, minus_q_power
@@ -69,6 +70,33 @@ def rs_insert(p: Window) -> tuple[Tableau, Tableau]:
     return tuple(map(tuple, prows)), tuple(map(tuple, qrows))
 
 
+def rs_inverse(p: Tableau, q: Tableau) -> Window:
+    """The permutation whose insertion and recording tableaux are p and q.
+
+    Undoes row insertion one step at a time (Sagan, *The Symmetric Group*,
+    section 3.1): the largest entry k left in q marks the cell that step k
+    created; the entry of p in that cell is bumped back up through the rows
+    above, each time displacing the largest smaller entry, and leaves the
+    first row as the value w(k).
+
+    >>> rs_inverse(((1, 3), (2,)), ((1, 2), (3,)))
+    (2, 3, 1)
+    """
+    if shape(p) != shape(q):
+        raise ValueError(f"shape mismatch: {shape(p)} vs {shape(q)}")
+    prows = [list(row) for row in p]
+    row_of = {x: r for r, row in enumerate(q) for x in row}
+    w = [0] * len(row_of)
+    for step in range(len(row_of), 0, -1):
+        x = prows[row_of[step]].pop()
+        for r in range(row_of[step] - 1, -1, -1):
+            row = prows[r]
+            k = bisect.bisect_left(row, x) - 1
+            row[k], x = x, row[k]
+        w[step - 1] = x
+    return tuple(w)
+
+
 def enumerate_syt(sh: Partition) -> list[Tableau]:
     """All standard tableaux of the shape, in placement order."""
     n = sum(sh)
@@ -122,10 +150,14 @@ def superstandard_tableau(sh: Partition) -> Tableau:
 
 
 @lru_cache(maxsize=None)
-def _insertion_table(n: int) -> tuple[tuple[Window, Tableau], ...]:
-    return tuple(
-        (w, rs_insert(w)[0]) for w in itertools.permutations(range(1, n + 1))
-    )
+def _insertion_table(p0: Tableau) -> tuple[Window, ...]:
+    """The RS fibre of p0: every permutation whose insertion tableau is p0.
+
+    By the RS bijection there is exactly one per recording tableau of the
+    same shape, so the fibre is built by inverse insertion rather than by
+    inserting all of S_n.
+    """
+    return tuple(rs_inverse(p0, q) for q in enumerate_syt(shape(p0)))
 
 
 def irreducible_hecke_character(
@@ -140,9 +172,11 @@ def irreducible_hecke_character(
     if sum(mu) != n:
         raise ValueError("lam and mu must partition the same n")
     p0 = insertion_tableau if insertion_tableau is not None else superstandard_tableau(lam)
+    if shape(p0) != tuple(lam) or not is_standard(p0):
+        raise ValueError(f"{p0} is not a standard tableau of shape {lam}")
     total = ZERO
-    for w, ptab in _insertion_table(n):
-        if ptab == p0 and perm.is_mu_unimodal(w, mu):
+    for w in _insertion_table(p0):
+        if perm.is_mu_unimodal(w, mu):
             total = total + minus_q_power(mu_descent_number(w, mu))
     return total
 
@@ -184,12 +218,15 @@ def character_dimension(lam: Partition) -> int:
     return len(enumerate_syt(lam))
 
 
+def check_verify_caps(n: int) -> None:
+    """Refuse an n beyond the fixed-point report, which verify_rsk runs at every n."""
+    if n > FIXEDPOINT_REPORT_CAP:
+        raise CapacityError(f"report capped at n={FIXEDPOINT_REPORT_CAP}, got {n}")
+
+
 def involution_fixedpoint_vs_oddcolumns(n: int) -> Report:
     """Involutions with f fixed points are counted by tableaux with f odd columns."""
-    if n > FIXEDPOINT_REPORT_CAP:
-        from .errors import CapacityError
-
-        raise CapacityError(f"report capped at n={FIXEDPOINT_REPORT_CAP}, got {n}")
+    check_verify_caps(n)
     inv_counts: dict[int, int] = {}
     for w in perm.enumerate_involutions(n):
         f = len(perm.fixed_points(w))
@@ -216,6 +253,7 @@ def involution_fixedpoint_vs_oddcolumns(n: int) -> Report:
 def verify_rsk(n: int) -> Report:
     """Insertion properties, the tableau-count identities, and the character
     cross-checks (the latter only at small n, where sweeps over S_n are cheap)."""
+    check_verify_caps(n)
     checks: list[Check] = []
 
     if n <= 6:

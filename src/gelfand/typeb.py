@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from . import perm
 from .errors import CapacityError
@@ -152,35 +152,74 @@ def rho_b_generator(i: int, basis: ModelBasis) -> SignedPermMatrix:
     return SignedPermMatrix(basis.dim, tuple(rows), tuple(signs))
 
 
-def rho_b_of_element(g: SignedWindow, basis: ModelBasis) -> SignedPermMatrix:
-    """Matrix of an arbitrary element, via a shortest generator word."""
-    n = basis.n
-    word = b_shortest_words(n)[g]
+def rho_b_of_element(
+    g: SignedWindow,
+    basis: ModelBasis,
+    gens: Mapping[int, SignedPermMatrix] | None = None,
+) -> SignedPermMatrix:
+    """Matrix of an arbitrary element, via a shortest generator word.
+
+    ``gens`` maps generator indices to their matrices, so a caller acting by
+    many elements builds each generator once; without it the letters of the
+    word are built here.
+    """
+    word = b_shortest_words(basis.n)[g]
+    if gens is None:
+        gens = {i: rho_b_generator(i, basis) for i in set(word)}
     out = SignedPermMatrix.identity(basis.dim)
     for i in word:
-        out = out @ rho_b_generator(i, basis)
+        out = out @ gens[i]
     return out
 
 
-def b_square_roots_count(g: SignedWindow) -> int:
-    """Number of u in B_n with u*u = g, by exhaustion; capped at n=5."""
-    n = len(g)
+def check_b_square_roots_cap(n: int) -> None:
+    """Refuse an n whose square roots are too many to count by exhausting B_n."""
     if n > TYPEB_SLOW_CAP:
         raise CapacityError(f"square root enumeration capped at n={TYPEB_SLOW_CAP}")
-    return sum(1 for u in b_elements(n) if b_compose(u, u) == g)
 
 
+@lru_cache(maxsize=None)
+def _b_square_counts(n: int) -> dict[SignedWindow, int]:
+    """How many u in B_n have u*u = g, for every square g: one sweep of B_n."""
+    counts: dict[SignedWindow, int] = {}
+    for u in b_elements(n):
+        sq = b_compose(u, u)
+        counts[sq] = counts.get(sq, 0) + 1
+    return counts
+
+
+def b_square_roots_count(g: SignedWindow) -> int:
+    """Number of u in B_n with u*u = g, by exhaustion; capped at n=5.
+
+    Every call at the same n reads one shared exhaustive sweep of B_n.
+    """
+    check_b_square_roots_cap(len(g))
+    return _b_square_counts(len(g)).get(g, 0)
+
+
+@lru_cache(maxsize=None)
 def b_conjugacy_class_reps(n: int) -> tuple[SignedWindow, ...]:
-    """Canonical (sort-key minimal) representative per conjugacy class."""
-    elements = list(b_elements(n))
+    """Canonical (sort-key minimal) representative per conjugacy class.
+
+    One sweep of B_n in sort-key order: each element not yet seen opens a new
+    class, whose whole orbit is then found by conjugating with the generators.
+    """
+    gens = [b_generator(n, i) for i in range(n)]
     seen: set[SignedWindow] = set()
     reps = []
-    for g in sorted(elements, key=signed_sort_key):
+    for g in sorted(b_elements(n), key=signed_sort_key):
         if g in seen:
             continue
-        orbit = {b_compose(h, b_compose(g, b_inverse(h))) for h in elements}
-        seen.update(orbit)
         reps.append(g)
+        seen.add(g)
+        stack = [g]
+        while stack:
+            h = stack.pop()
+            for s in gens:
+                c = b_compose(s, b_compose(h, s))
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
     return tuple(reps)
 
 
@@ -190,10 +229,20 @@ def pairs_of_partitions_count(n: int) -> int:
     return sum(p[k] * p[n - k] for k in range(n + 1))
 
 
-def verify_b_model(n: int, *, cap: int = TYPEB_VERIFY_CAP) -> Report:
-    """Check the type-B relations and the square-root trace identity."""
+def check_verify_caps(n: int, cap: int = TYPEB_VERIFY_CAP) -> None:
+    """Refuse an n that verify_b_model or its square-root oracle would reject."""
     if not 1 <= n <= cap:
         raise CapacityError(f"verify_b_model needs 1 <= n <= {cap}, got {n}")
+    check_b_square_roots_cap(n)
+
+
+def verify_b_model(n: int, *, cap: int = TYPEB_VERIFY_CAP) -> Report:
+    """Check the type-B relations and the square-root trace identity.
+
+    The square-root counts come from one shared exhaustive sweep of B_n and
+    the class representatives from one orbit search over B_n.
+    """
+    check_verify_caps(n, cap)
     basis = b_model_basis(n)
     checks: list[Check] = []
     gens = {i: rho_b_generator(i, basis) for i in range(n)}
@@ -252,7 +301,7 @@ def verify_b_model(n: int, *, cap: int = TYPEB_VERIFY_CAP) -> Report:
     )
     fs_bad = None
     for g in elements:
-        tr = rho_b_of_element(g, basis).trace()
+        tr = rho_b_of_element(g, basis, gens).trace()
         roots = b_square_roots_count(g)
         if tr != roots:
             fs_bad = (g, tr, roots)
@@ -269,7 +318,7 @@ def verify_b_model(n: int, *, cap: int = TYPEB_VERIFY_CAP) -> Report:
 
     dim = basis.dim
     roots_of_id = b_square_roots_count(b_identity(n))
-    tr_id = rho_b_of_element(b_identity(n), basis).trace()
+    tr_id = rho_b_of_element(b_identity(n), basis, gens).trace()
     checks.append(
         Check(
             "dimension equals the square-root count of the identity",

@@ -200,6 +200,31 @@ def test_bad_element_is_usage_error(capsys):
     assert "window" in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--scope", "all", "--n", "6"), "square root enumeration capped at n=5"),
+        (("--scope", "all", "--n", "9"), "involutive length oracle capped at n=8"),
+        (("--scope", "sn", "--n", "10"), "square root enumeration capped at n=9, got 10"),
+        (("--scope", "rsk", "--n", "9"), "report capped at n=8, got 9"),
+        (("--scope", "typeb", "--n", "6", "--slow"), "square root enumeration capped at n=5"),
+    ],
+)
+def test_oracle_caps_refused_before_any_suite_runs(capsys, monkeypatch, args, message):
+    from gelfand import model_hecke, model_sn, rsk, typeb
+
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("a verification suite ran before every cap was checked")
+
+    monkeypatch.setattr(model_sn, "verify_sn_model", must_not_run)
+    monkeypatch.setattr(model_hecke, "verify_hecke_model", must_not_run)
+    monkeypatch.setattr(rsk, "verify_rsk", must_not_run)
+    monkeypatch.setattr(typeb, "verify_b_model", must_not_run)
+    monkeypatch.setenv("GELFAND_CAP", "12")
+    code, out, err = run(capsys, "verify", *args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_env_cap_raises_limit(capsys, monkeypatch):
     monkeypatch.setenv("GELFAND_CAP", "10")
     code, out, _ = run(capsys, "involutions", "--n", "10", "--format", "csv")

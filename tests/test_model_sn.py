@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gelfand import perm
 from gelfand.errors import CapacityError
@@ -69,6 +71,19 @@ def test_generator_routes_agree(n):
         assert rho_generator_matrix(i, basis) == rho_matrix(
             perm.generator(n, i), basis
         )
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
+    )
+)
+def test_rho_matrix_matches_naive_construction(p):
+    basis = model_basis(len(p))
+    rows = tuple(basis.index[perm.conjugate(p, w)] for w in basis.involutions)
+    signs = tuple(-1 if inv_w(p, w) % 2 else 1 for w in basis.involutions)
+    assert rho_matrix(p, basis) == SignedPermMatrix(basis.dim, rows, signs)
 
 
 def test_character_examples():

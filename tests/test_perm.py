@@ -135,6 +135,13 @@ def test_square_roots_is_class_function():
             )
 
 
+def test_square_roots_match_per_element_exhaustion():
+    perms = list(itertools.permutations(range(1, 6)))
+    for p in perms:
+        expected = sum(1 for u in perms if perm.compose(u, u) == p)
+        assert perm.square_roots_count(p) == expected
+
+
 def test_square_roots_cap():
     with pytest.raises(CapacityError):
         perm.square_roots_count(perm.identity(10))

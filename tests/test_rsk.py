@@ -4,7 +4,8 @@ import math
 import pytest
 
 from gelfand import perm
-from gelfand.qpoly import QPoly, ZERO
+from gelfand.model_hecke import mu_descent_number
+from gelfand.qpoly import QPoly, ZERO, minus_q_power
 from gelfand.rsk import (
     character_dimension,
     conjugate_partition,
@@ -15,6 +16,7 @@ from gelfand.rsk import (
     mn_character,
     odd_columns,
     rs_insert,
+    rs_inverse,
     shape,
     superstandard_tableau,
     tableau_descent_set,
@@ -63,6 +65,26 @@ def test_descent_compatibility(n):
         assert perm.descent_set(w) == tableau_descent_set(q)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_rs_inverse_undoes_insertion(n):
+    for w in itertools.permutations(range(1, n + 1)):
+        assert rs_inverse(*rs_insert(w)) == w
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_insertion_undoes_rs_inverse(n):
+    for lam in perm.partitions(n):
+        tabs = enumerate_syt(lam)
+        for p in tabs:
+            for q in tabs:
+                assert rs_insert(rs_inverse(p, q)) == (p, q)
+
+
+def test_rs_inverse_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        rs_inverse(((1, 2),), ((1,), (2,)))
+
+
 def test_tableau_descent_examples():
     assert tableau_descent_set(((1, 2, 3),)) == set()
     assert tableau_descent_set(((1,), (2,), (3,))) == {1, 2}
@@ -107,6 +129,48 @@ def test_irreducible_character_examples():
         assert irreducible_hecke_character((4,), mu) == QPoly.constant(1)
     assert irreducible_hecke_character((1, 1, 1), (1, 1, 1)) == QPoly.constant(1)
     assert irreducible_hecke_character((1, 1), (2,)) == QPoly({1: -1})
+
+
+def _filtered_character(table, lam, mu, p0=None):
+    """The definition the RS fibre replaces: filter all of S_n by insertion tableau."""
+    p0 = p0 or superstandard_tableau(lam)
+    total = ZERO
+    for w, ptab in table:
+        if ptab == p0 and perm.is_mu_unimodal(w, mu):
+            total = total + minus_q_power(mu_descent_number(w, mu))
+    return total
+
+
+def _insert_all(n):
+    return [(w, rs_insert(w)[0]) for w in itertools.permutations(range(1, n + 1))]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_character_matches_filter_over_all_permutations(n):
+    table = _insert_all(n)
+    for lam in perm.partitions(n):
+        for mu in perm.partitions(n):
+            assert irreducible_hecke_character(lam, mu) == _filtered_character(
+                table, lam, mu
+            )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_character_matches_filter_for_every_tableau(n):
+    table = _insert_all(n)
+    for lam in perm.partitions(n):
+        for t in enumerate_syt(lam):
+            for mu in perm.partitions(n):
+                assert irreducible_hecke_character(
+                    lam, mu, t
+                ) == _filtered_character(table, lam, mu, t)
+
+
+def test_character_rejects_a_tableau_of_another_shape():
+    with pytest.raises(ValueError):
+        irreducible_hecke_character((2, 1), (3,), ((1, 2, 3),))
+    with pytest.raises(ValueError):
+        irreducible_hecke_character((2, 1), (3,), ((1, 2), (4,)))
 
 
 @pytest.mark.parametrize("n", range(2, 5))

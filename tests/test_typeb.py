@@ -17,6 +17,7 @@ from gelfand.typeb import (
     pairs_of_partitions_count,
     rho_b_generator,
     rho_b_of_element,
+    signed_sort_key,
     verify_b_model,
 )
 
@@ -108,6 +109,32 @@ def test_character_vector_n1():
 def test_class_reps_count():
     for n in (1, 2, 3):
         assert len(b_conjugacy_class_reps(n)) == pairs_of_partitions_count(n)
+
+
+def test_b_square_roots_match_per_element_exhaustion():
+    elements = list(b_elements(3))
+    for g in elements:
+        expected = sum(1 for u in elements if b_compose(u, u) == g)
+        assert b_square_roots_count(g) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_class_reps_match_conjugation_by_every_element(n):
+    elements = list(b_elements(n))
+    seen = set()
+    expected = []
+    for g in sorted(elements, key=signed_sort_key):
+        if g not in seen:
+            seen.update(b_compose(h, b_compose(g, b_inverse(h))) for h in elements)
+            expected.append(g)
+    assert b_conjugacy_class_reps(n) == tuple(expected)
+
+
+def test_element_matrix_with_and_without_prebuilt_generators():
+    basis = b_model_basis(3)
+    gens = {i: rho_b_generator(i, basis) for i in range(3)}
+    for g in b_elements(3):
+        assert rho_b_of_element(g, basis, gens) == rho_b_of_element(g, basis)
 
 
 def test_pairs_of_partitions_count():
