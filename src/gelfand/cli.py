@@ -245,7 +245,8 @@ def _matrix_for_config(cfg: RunConfig):
         if not 0 <= cfg.generator <= n - 1:
             raise UsageError(f"--generator must be in 0..{n - 1}")
         return typeb.rho_b_generator(cfg.generator, basis).to_poly_matrix()
-    return typeb.rho_b_of_element(cfg.element, basis).to_poly_matrix()
+    gens = {i: typeb.rho_b_generator(i, basis) for i in range(n)}
+    return typeb.rho_b_of_element(cfg.element, basis, gens).to_poly_matrix()
 
 
 def cmd_matrix(cfg: RunConfig) -> int:
@@ -262,35 +263,45 @@ def cmd_matrix(cfg: RunConfig) -> int:
     return 0
 
 
-def _verify_reports(cfg: RunConfig) -> list[Report]:
-    """Refuse any requested scope beyond a cap, then run the suites in order.
+def _verify_size(cfg: RunConfig, scope: str, cap_name: str) -> tuple[int, int]:
+    """The n one suite runs at, and its cap; refuses an n beyond the cap."""
+    cap = _cap(cap_name)
+    m = cfg.n if cfg.scope == scope else min(cfg.n, cap)
+    _require_cap(m, cap_name, f"{scope} verification")
+    return m, cap
 
-    Every cap check, the oracle caps included, comes before the first suite
-    starts, so a refused ``--scope all`` request does no work.
+
+def _verify_reports(cfg: RunConfig) -> list[Report]:
+    """Check the caps of every requested suite, then run the suites in order.
+
+    The oracle caps are checked in the first pass too, so a refused
+    ``--scope all`` request does no work.
     """
-    n = cfg.n
-    sn_cap = "verify_sn_slow" if cfg.slow else "verify_sn"
-    typeb_cap = "verify_typeb_slow" if cfg.slow else "verify_typeb"
-    scopes = (
-        ("sn", sn_cap, model_sn.check_verify_caps,
-         lambda m, cap: model_sn.verify_sn_model(m, seed=cfg.seed, cap=cap)),
-        ("hecke", "verify_hecke", model_hecke.check_verify_caps,
-         lambda m, cap: model_hecke.verify_hecke_model(m, cap=cap)),
-        ("rsk", "verify_rsk", lambda m, cap: rsk.check_verify_caps(m),
-         lambda m, cap: rsk.verify_rsk(m)),
-        ("typeb", typeb_cap, typeb.check_verify_caps,
-         lambda m, cap: typeb.verify_b_model(m, cap=cap)),
-    )
-    runs = []
-    for scope, cap_name, check_caps, run in scopes:
-        if cfg.scope not in (scope, "all"):
-            continue
-        cap = _cap(cap_name)
-        m = n if cfg.scope == scope else min(n, cap)
-        _require_cap(m, cap_name, f"{scope} verification")
-        check_caps(m, cap)
-        runs.append((run, m, cap))
-    return [run(m, cap) for run, m, cap in runs]
+    scopes = ("sn", "hecke", "rsk", "typeb") if cfg.scope == "all" else (cfg.scope,)
+    if "sn" in scopes:
+        sn_n, sn_cap = _verify_size(cfg, "sn", "verify_sn_slow" if cfg.slow else "verify_sn")
+        model_sn.check_verify_caps(sn_n, sn_cap)
+    if "hecke" in scopes:
+        hecke_n, hecke_cap = _verify_size(cfg, "hecke", "verify_hecke")
+        model_hecke.check_verify_caps(hecke_n, hecke_cap)
+    if "rsk" in scopes:
+        rsk_n, _ = _verify_size(cfg, "rsk", "verify_rsk")
+        rsk.check_verify_caps(rsk_n)
+    if "typeb" in scopes:
+        typeb_n, typeb_cap = _verify_size(
+            cfg, "typeb", "verify_typeb_slow" if cfg.slow else "verify_typeb"
+        )
+        typeb.check_verify_caps(typeb_n, typeb_cap)
+    reports = []
+    if "sn" in scopes:
+        reports.append(model_sn.verify_sn_model(sn_n, seed=cfg.seed, cap=sn_cap))
+    if "hecke" in scopes:
+        reports.append(model_hecke.verify_hecke_model(hecke_n, cap=hecke_cap))
+    if "rsk" in scopes:
+        reports.append(rsk.verify_rsk(rsk_n))
+    if "typeb" in scopes:
+        reports.append(typeb.verify_b_model(typeb_n, cap=typeb_cap))
+    return reports
 
 
 def cmd_verify(cfg: RunConfig) -> int:

@@ -153,21 +153,15 @@ def rho_b_generator(i: int, basis: ModelBasis) -> SignedPermMatrix:
 
 
 def rho_b_of_element(
-    g: SignedWindow,
-    basis: ModelBasis,
-    gens: Mapping[int, SignedPermMatrix] | None = None,
+    g: SignedWindow, basis: ModelBasis, gens: Mapping[int, SignedPermMatrix]
 ) -> SignedPermMatrix:
     """Matrix of an arbitrary element, via a shortest generator word.
 
-    ``gens`` maps generator indices to their matrices, so a caller acting by
-    many elements builds each generator once; without it the letters of the
-    word are built here.
+    ``gens`` maps each generator index to its ``rho_b_generator`` matrix, so
+    a caller acting by many elements builds each generator once.
     """
-    word = b_shortest_words(basis.n)[g]
-    if gens is None:
-        gens = {i: rho_b_generator(i, basis) for i in set(word)}
     out = SignedPermMatrix.identity(basis.dim)
-    for i in word:
+    for i in b_shortest_words(basis.n)[g]:
         out = out @ gens[i]
     return out
 

@@ -62,6 +62,21 @@ def test_matrix_typeb_generator(capsys):
     assert json.loads(out) == {"dim": 2, "entries": [[0, 0, [1]], [1, 1, [-1]]]}
 
 
+def test_matrix_typeb_element_matches_generator(capsys):
+    from gelfand.typeb import b_generator
+
+    for i in range(3):
+        window = ",".join(map(str, b_generator(3, i)))
+        code, by_element, _ = run(capsys, "matrix", "--kind", "typeb", "--n", "3", f"--element={window}")
+        assert code == 0
+        _, by_generator, _ = run(capsys, "matrix", "--kind", "typeb", "--n", "3", "--generator", str(i))
+        assert by_element == by_generator
+    code, out, _ = run(capsys, "matrix", "--kind", "typeb", "--n", "3", "--element", "1,2,3")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["entries"] == [[i, i, [1]] for i in range(obj["dim"])]
+
+
 def test_matrix_text_format(capsys):
     code, out, _ = run(
         capsys, "matrix", "--kind", "hecke", "--n", "2", "--generator", "1",
