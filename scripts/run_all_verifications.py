@@ -18,13 +18,13 @@ def main() -> int:
 
     reports = []
     for n in range(2, 9 if args.slow else 8):
-        reports.append(model_sn.verify_sn_model(n, cap=8))
+        reports.append(model_sn.verify_sn_model(n, slow=args.slow))
     for n in range(2, 7):
         reports.append(model_hecke.verify_hecke_model(n))
     for n in range(2, 9):
         reports.append(rsk.verify_rsk(n))
     for n in range(1, 6 if args.slow else 5):
-        reports.append(typeb.verify_b_model(n, cap=5))
+        reports.append(typeb.verify_b_model(n, slow=args.slow))
 
     failed = 0
     for r in reports:

@@ -12,31 +12,13 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 
 from . import model_hecke, model_sn, perm, rsk, typeb
-from .errors import CapacityError, InternalConsistencyError
+from .errors import CapacityError, InternalConsistencyError, cap, require
 from .perm import Partition
 from .report import Report
-
-_CAPS = {
-    "involutions": 9,
-    "matrix_sn": 8,
-    "matrix_hecke": 8,
-    "matrix_typeb": 5,
-    "poset": 8,
-    "verify_sn": 7,
-    "verify_sn_slow": 8,
-    "verify_hecke": 6,
-    "verify_typeb": 4,
-    "verify_typeb_slow": 5,
-    "verify_rsk": 8,
-    "characters_sn": 7,
-    "characters_hecke": 6,
-    "characters_lambda": 5,
-}
 
 
 class UsageError(Exception):
@@ -56,23 +38,6 @@ class RunConfig:
     element: tuple[int, ...] | None = None
     seed: int = 0
     slow: bool = False
-
-
-def _cap(name: str) -> int:
-    default = _CAPS[name]
-    raised = os.environ.get("GELFAND_CAP")
-    if raised is not None:
-        try:
-            return max(default, int(raised))
-        except ValueError:
-            raise UsageError(f"GELFAND_CAP must be an integer, got {raised!r}")
-    return default
-
-
-def _require_cap(n: int, name: str, what: str) -> None:
-    cap = _cap(name)
-    if n > cap:
-        raise UsageError(f"{what} is capped at n={cap} (got n={n}); set GELFAND_CAP to raise")
 
 
 def _parse_partition(text: str, n: int, flag: str) -> Partition:
@@ -115,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, formats: tuple[str, ...], default: str) -> None:
         p.add_argument("--n", type=int, required=True, help="rank of the group")
         p.add_argument("--format", dest="fmt", choices=formats, default=default)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--slow", action="store_true", help="raise the slow-sweep caps")
 
     p = sub.add_parser("involutions", help="list the involution basis")
     common(p, ("text", "json", "csv"), "text")
@@ -131,6 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     common(p, ("text", "json"), "text")
     p.add_argument("--scope", choices=("sn", "hecke", "rsk", "typeb", "all"), required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--slow", action="store_true", help="raise the slow-sweep caps")
 
     p = sub.add_parser("characters", help="character table with independent cross-checks")
     common(p, ("text", "json", "csv"), "text")
@@ -160,8 +125,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         scope=getattr(args, "scope", None),
         generator=getattr(args, "generator", None),
         element=element,
-        seed=args.seed,
-        slow=args.slow,
+        seed=getattr(args, "seed", 0),
+        slow=getattr(args, "slow", False),
     )
 
 
@@ -185,7 +150,7 @@ def _emit_table(fmt: str, header: list[str], rows: list[list[str]], json_rows: l
 
 
 def cmd_involutions(cfg: RunConfig) -> int:
-    _require_cap(cfg.n, "involutions", "involution listing")
+    require("involutions", cfg.n)
     header = ["index", "window", "cycles", "length", "descents", "pairs"]
     rows = []
     json_rows = []
@@ -221,38 +186,35 @@ def _matrix_for_config(cfg: RunConfig):
     n = cfg.n
     given = [x for x in (cfg.generator, cfg.element, cfg.mu) if x is not None]
     if cfg.kind == "sn":
-        _require_cap(n, "matrix_sn", "sn matrices")
+        require("matrix_sn", n)
         if len(given) != 1 or cfg.mu is not None:
             raise UsageError("matrix --kind sn needs exactly one of --generator/--element")
         basis = model_sn.model_basis(n)
         p = perm.generator(n, cfg.generator) if cfg.generator is not None else cfg.element
         return model_sn.rho_matrix(p, basis).to_poly_matrix()
     if cfg.kind == "hecke":
-        _require_cap(n, "matrix_hecke", "hecke matrices")
+        require("matrix_hecke", n)
         if len(given) != 1 or cfg.element is not None:
             raise UsageError("matrix --kind hecke needs exactly one of --generator/--mu")
         basis = model_sn.model_basis(n)
         if cfg.generator is not None:
-            if not 1 <= cfg.generator <= n - 1:
-                raise UsageError(f"--generator must be in 1..{n - 1}")
             return model_hecke.rho_q_generator(cfg.generator, basis)
         return model_hecke.rho_q_of_word(model_hecke.t_mu_word(cfg.mu), basis)
-    _require_cap(n, "matrix_typeb", "typeb matrices")
+    require("matrix_typeb", n)
     if len(given) != 1 or cfg.mu is not None:
         raise UsageError("matrix --kind typeb needs exactly one of --generator/--element")
     basis = typeb.b_model_basis(n)
     if cfg.generator is not None:
-        if not 0 <= cfg.generator <= n - 1:
-            raise UsageError(f"--generator must be in 0..{n - 1}")
         return typeb.rho_b_generator(cfg.generator, basis).to_poly_matrix()
     gens = {i: typeb.rho_b_generator(i, basis) for i in range(n)}
     return typeb.rho_b_of_element(cfg.element, basis, gens).to_poly_matrix()
 
 
 def cmd_matrix(cfg: RunConfig) -> int:
-    if cfg.kind in ("sn", "hecke") and cfg.generator is not None:
-        if not 1 <= cfg.generator <= cfg.n - 1:
-            raise UsageError(f"--generator must be in 1..{cfg.n - 1}")
+    if cfg.generator is not None:
+        first = 0 if cfg.kind == "typeb" else 1
+        if not first <= cfg.generator <= cfg.n - 1:
+            raise UsageError(f"--generator must be in {first}..{cfg.n - 1}")
     mat = _matrix_for_config(cfg)
     if cfg.fmt == "json":
         print(mat.to_json())
@@ -263,44 +225,39 @@ def cmd_matrix(cfg: RunConfig) -> int:
     return 0
 
 
-def _verify_size(cfg: RunConfig, scope: str, cap_name: str) -> tuple[int, int]:
-    """The n one suite runs at, and its cap; refuses an n beyond the cap."""
-    cap = _cap(cap_name)
-    m = cfg.n if cfg.scope == scope else min(cfg.n, cap)
-    _require_cap(m, cap_name, f"{scope} verification")
-    return m, cap
-
-
 def _verify_reports(cfg: RunConfig) -> list[Report]:
     """Check the caps of every requested suite, then run the suites in order.
 
-    The oracle caps are checked in the first pass too, so a refused
-    ``--scope all`` request does no work.
+    Under ``--scope all`` each suite runs at the smaller of n and its own
+    cap.  The oracle caps are checked in the first pass too, so a refused
+    request does no work.
     """
-    scopes = ("sn", "hecke", "rsk", "typeb") if cfg.scope == "all" else (cfg.scope,)
+    slow = "_slow" if cfg.slow else ""
+    caps = {
+        "sn": "verify_sn" + slow,
+        "hecke": "verify_hecke",
+        "rsk": "verify_rsk",
+        "typeb": "verify_typeb" + slow,
+    }
+    scopes = tuple(caps) if cfg.scope == "all" else (cfg.scope,)
+    size = {s: cfg.n if s == cfg.scope else min(cfg.n, cap(caps[s])) for s in scopes}
     if "sn" in scopes:
-        sn_n, sn_cap = _verify_size(cfg, "sn", "verify_sn_slow" if cfg.slow else "verify_sn")
-        model_sn.check_verify_caps(sn_n, sn_cap)
+        model_sn.check_verify_caps(size["sn"], cfg.slow)
     if "hecke" in scopes:
-        hecke_n, hecke_cap = _verify_size(cfg, "hecke", "verify_hecke")
-        model_hecke.check_verify_caps(hecke_n, hecke_cap)
+        model_hecke.check_verify_caps(size["hecke"])
     if "rsk" in scopes:
-        rsk_n, _ = _verify_size(cfg, "rsk", "verify_rsk")
-        rsk.check_verify_caps(rsk_n)
+        rsk.check_verify_caps(size["rsk"])
     if "typeb" in scopes:
-        typeb_n, typeb_cap = _verify_size(
-            cfg, "typeb", "verify_typeb_slow" if cfg.slow else "verify_typeb"
-        )
-        typeb.check_verify_caps(typeb_n, typeb_cap)
+        typeb.check_verify_caps(size["typeb"], cfg.slow)
     reports = []
     if "sn" in scopes:
-        reports.append(model_sn.verify_sn_model(sn_n, seed=cfg.seed, cap=sn_cap))
+        reports.append(model_sn.verify_sn_model(size["sn"], seed=cfg.seed, slow=cfg.slow))
     if "hecke" in scopes:
-        reports.append(model_hecke.verify_hecke_model(hecke_n, cap=hecke_cap))
+        reports.append(model_hecke.verify_hecke_model(size["hecke"]))
     if "rsk" in scopes:
-        reports.append(rsk.verify_rsk(rsk_n))
+        reports.append(rsk.verify_rsk(size["rsk"]))
     if "typeb" in scopes:
-        reports.append(typeb.verify_b_model(typeb_n, cap=typeb_cap))
+        reports.append(typeb.verify_b_model(size["typeb"], slow=cfg.slow))
     return reports
 
 
@@ -386,20 +343,19 @@ def _hecke_character_rows(cfg: RunConfig):
 
 def cmd_characters(cfg: RunConfig) -> int:
     if cfg.kind == "sn":
-        _require_cap(cfg.n, "characters_sn", "sn character table")
+        if cfg.lam is not None:
+            raise UsageError("--lambda needs --kind hecke")
+        require("characters_sn", cfg.n)
         header, rows, json_rows, ok = _sn_character_rows(cfg)
     else:
-        if cfg.lam is not None:
-            _require_cap(cfg.n, "characters_lambda", "irreducible character table")
-        else:
-            _require_cap(cfg.n, "characters_hecke", "hecke character table")
+        require("characters_lambda" if cfg.lam is not None else "characters_hecke", cfg.n)
         header, rows, json_rows, ok = _hecke_character_rows(cfg)
     _emit_table(cfg.fmt, header, rows, json_rows)
     return 0 if ok else 1
 
 
 def cmd_poset(cfg: RunConfig) -> int:
-    _require_cap(cfg.n, "poset", "poset export")
+    require("poset", cfg.n)
     sys.stdout.write(model_hecke.poset_dot(cfg.n))
     return 0
 

@@ -14,14 +14,11 @@ from functools import lru_cache
 from typing import Literal, Mapping
 
 from . import perm
-from .errors import CapacityError, InternalConsistencyError
-from .model_sn import ModelBasis, model_basis, rho_generator_matrix
+from .errors import CapacityError, InternalConsistencyError, cap, require
+from .model_sn import ModelBasis, model_basis, relation_checks, rho_generator_matrix
 from .perm import Partition, Window
 from .qpoly import ONE, Q, ZERO, PolyMatrix, QPoly, minus_q_power
 from .report import Check, Report
-
-HECKE_VERIFY_CAP = 6
-ORACLE_CAP = 8
 
 CaseTag = Literal["fixed_descent", "fixed_nondescent", "up", "down"]
 
@@ -83,16 +80,10 @@ def _conjugation_distances(n: int, k: int) -> dict[Window, int]:
     return dist
 
 
-def check_oracle_cap(n: int) -> None:
-    """Refuse an n beyond the BFS length oracle's cap."""
-    if n > ORACLE_CAP:
-        raise CapacityError(f"involutive length oracle capped at n={ORACLE_CAP}")
-
-
 def involutive_length_oracle(w: Window) -> int:
-    """Shortest-conjugator length of an involution, by BFS; capped at n=8."""
+    """Shortest-conjugator length of an involution by BFS, within the ``length_oracle`` cap."""
     n = len(w)
-    check_oracle_cap(n)
+    require("length_oracle", n)
     if not perm.is_involution(w):
         raise ValueError(f"{w} is not an involution")
     return _conjugation_distances(n, len(perm.involution_pairs(w)))[w]
@@ -262,16 +253,17 @@ def _orbit_interval_witness(n: int) -> str | None:
     return None
 
 
-def check_verify_caps(n: int, cap: int = HECKE_VERIFY_CAP) -> None:
+def check_verify_caps(n: int) -> None:
     """Refuse an n that verify_hecke_model or its length oracle would reject."""
-    if not 2 <= n <= cap:
-        raise CapacityError(f"verify_hecke_model needs 2 <= n <= {cap}, got {n}")
-    check_oracle_cap(n)
+    require("verify_hecke", n)
+    if n < 2:
+        raise CapacityError(f"verify_hecke_model needs 2 <= n <= {cap('verify_hecke')}, got {n}")
+    require("length_oracle", n)
 
 
-def verify_hecke_model(n: int, *, cap: int = HECKE_VERIFY_CAP) -> Report:
+def verify_hecke_model(n: int) -> Report:
     """Check the defining relations, the grading, and the trace identity."""
-    check_verify_caps(n, cap)
+    check_verify_caps(n)
     basis = model_basis(n)
     checks: list[Check] = []
 
@@ -331,43 +323,11 @@ def verify_hecke_model(n: int, *, cap: int = HECKE_VERIFY_CAP) -> Report:
     gens = {i: rho_q_generator(i, basis) for i in range(1, n)}
     ident = PolyMatrix.identity(basis.dim)
 
-    quad_bad = [
-        i
-        for i, m in gens.items()
-        if m @ m != m.scale(ONE - Q).add(ident.scale(Q))
-    ]
-    checks.append(
-        Check(
+    checks.extend(
+        relation_checks(
+            gens,
+            lambda m: m @ m == m.scale(ONE - Q).add(ident.scale(Q)),
             "quadratic relation (T + q)(T - 1) = 0 per generator",
-            not quad_bad,
-            "" if not quad_bad else f"fails at i={quad_bad[0]}",
-        )
-    )
-
-    comm_bad = [
-        (i, j)
-        for i in gens
-        for j in gens
-        if j > i + 1 and gens[i] @ gens[j] != gens[j] @ gens[i]
-    ]
-    checks.append(
-        Check(
-            "distant generators commute",
-            not comm_bad,
-            "" if not comm_bad else f"fails at {comm_bad[0]}",
-        )
-    )
-
-    braid_bad = [
-        i
-        for i in range(1, n - 1)
-        if gens[i] @ gens[i + 1] @ gens[i] != gens[i + 1] @ gens[i] @ gens[i + 1]
-    ]
-    checks.append(
-        Check(
-            "braid relation for adjacent generators",
-            not braid_bad,
-            "" if not braid_bad else f"fails at i={braid_bad[0]}",
         )
     )
 

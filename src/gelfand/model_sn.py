@@ -14,15 +14,16 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 from . import perm
-from .errors import CapacityError
+from .errors import CapacityError, cap, require
 from .perm import Window
 from .report import Check, Report
 
-SN_VERIFY_CAP = 7
 ALL_PAIRS_CAP = 5
+SAMPLED_PAIRS = 200
+SAMPLED_TRIPLES = 200
 
 
 @dataclass(frozen=True)
@@ -275,27 +276,52 @@ def orbit_checks(n: int) -> list[Check]:
     ]
 
 
-def check_verify_caps(n: int, cap: int = SN_VERIFY_CAP) -> None:
+def relation_checks(
+    gens: Mapping[int, Any],
+    square_holds: Callable[[Any], bool],
+    square_name: str,
+    braid_name: str = "braid relation for adjacent generators",
+) -> tuple[Check, ...]:
+    """The square (or quadratic), commute and braid checks on generator matrices.
+
+    ``gens`` maps each generator index to its matrix and ``square_holds``
+    tests one generator.  Generators i and j > i + 1 must commute; the braid
+    relation is checked for s_i, s_{i+1} with 1 <= i < max(gens), which
+    leaves out the pair s_0, s_1 of type B.
+    """
+    squares = [f"i={i}" for i, m in gens.items() if not square_holds(m)]
+    commute = [
+        f"{(i, j)}"
+        for i in gens
+        for j in gens
+        if j > i + 1 and gens[i] @ gens[j] != gens[j] @ gens[i]
+    ]
+    braid = [
+        f"i={i}"
+        for i in range(1, max(gens))
+        if gens[i] @ gens[i + 1] @ gens[i] != gens[i + 1] @ gens[i] @ gens[i + 1]
+    ]
+    named = ((square_name, squares), ("distant generators commute", commute), (braid_name, braid))
+    return tuple(Check(name, not bad, f"fails at {bad[0]}" if bad else "") for name, bad in named)
+
+
+def check_verify_caps(n: int, slow: bool = False) -> None:
     """Refuse an n that verify_sn_model or its square-root oracle would reject."""
-    if not 2 <= n <= cap:
-        raise CapacityError(f"verify_sn_model needs 2 <= n <= {cap}, got {n}")
-    perm.check_square_roots_cap(n)
+    name = "verify_sn_slow" if slow else "verify_sn"
+    require(name, n)
+    if n < 2:
+        raise CapacityError(f"verify_sn_model needs 2 <= n <= {cap(name)}, got {n}")
+    require("square_roots", n)
 
 
-def verify_sn_model(
-    n: int,
-    *,
-    seed: int = 0,
-    cap: int = SN_VERIFY_CAP,
-    sample_pairs: int = 200,
-    sample_triples: int = 200,
-) -> Report:
+def verify_sn_model(n: int, *, seed: int = 0, slow: bool = False) -> Report:
     """Check the defining relations, homomorphy and the character identities.
 
+    ``slow`` raises the size cap from ``verify_sn`` to ``verify_sn_slow``.
     The square-root counts on every class come from one shared exhaustive
     sweep of S_n (see ``perm.square_roots_count``).
     """
-    check_verify_caps(n, cap)
+    check_verify_caps(n, slow)
     basis = model_basis(n)
     rng = random.Random(seed)
     checks: list[Check] = []
@@ -311,40 +337,8 @@ def verify_sn_model(
         )
     )
 
-    squares = [i for i in gens if gens[i] @ gens[i] != ident]
-    checks.append(
-        Check(
-            "generator squares are the identity",
-            not squares,
-            "" if not squares else f"fails at i={squares[0]}",
-        )
-    )
-
-    comm_bad = [
-        (i, j)
-        for i in gens
-        for j in gens
-        if j > i + 1 and gens[i] @ gens[j] != gens[j] @ gens[i]
-    ]
-    checks.append(
-        Check(
-            "distant generators commute",
-            not comm_bad,
-            "" if not comm_bad else f"fails at {comm_bad[0]}",
-        )
-    )
-
-    braid_bad = [
-        i
-        for i in range(1, n - 1)
-        if gens[i] @ gens[i + 1] @ gens[i] != gens[i + 1] @ gens[i] @ gens[i + 1]
-    ]
-    checks.append(
-        Check(
-            "braid relation for adjacent generators",
-            not braid_bad,
-            "" if not braid_bad else f"fails at i={braid_bad[0]}",
-        )
+    checks.extend(
+        relation_checks(gens, lambda m: m @ m == ident, "generator squares are the identity")
     )
 
     if n <= ALL_PAIRS_CAP:
@@ -365,14 +359,14 @@ def verify_sn_model(
         hom_detail = f"all {len(mats) ** 2} pairs"
     else:
         hom_bad = None
-        for _ in range(sample_pairs):
+        for _ in range(SAMPLED_PAIRS):
             sigma = perm.random_window(n, rng)
             pi = perm.random_window(n, rng)
             lhs = rho_matrix(perm.compose(sigma, pi), basis)
             if lhs != rho_matrix(sigma, basis) @ rho_matrix(pi, basis):
                 hom_bad = (sigma, pi)
                 break
-        hom_detail = f"{sample_pairs} seeded random pairs"
+        hom_detail = f"{SAMPLED_PAIRS} seeded random pairs"
     checks.append(
         Check(
             "action is multiplicative",
@@ -381,12 +375,12 @@ def verify_sn_model(
         )
     )
 
-    witness = sign_cocycle_witness(n, sample_triples, rng)
+    witness = sign_cocycle_witness(n, SAMPLED_TRIPLES, rng)
     checks.append(
         Check(
             "sign cocycle identity",
             witness is None,
-            f"{sample_triples} seeded random triples"
+            f"{SAMPLED_TRIPLES} seeded random triples"
             if witness is None
             else f"fails at sigma={witness[0]}, pi={witness[1]}, w={witness[2]}",
         )

@@ -12,13 +12,10 @@ import random
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import CapacityError
+from .errors import require
 
 Window = tuple[int, ...]
 Partition = tuple[int, ...]
-
-# Largest n for which square roots are counted by exhausting S_n.
-SQUARE_ROOTS_CAP = 9
 
 
 def identity(n: int) -> Window:
@@ -178,14 +175,6 @@ def enumerate_involutions(n: int) -> tuple[Window, ...]:
     return tuple(sorted(out))
 
 
-def check_square_roots_cap(n: int) -> None:
-    """Refuse an n whose square roots are too many to count by exhausting S_n."""
-    if n > SQUARE_ROOTS_CAP:
-        raise CapacityError(
-            f"square root enumeration capped at n={SQUARE_ROOTS_CAP}, got {n}"
-        )
-
-
 @lru_cache(maxsize=None)
 def _square_counts(n: int) -> dict[Window, int]:
     """How many u in S_n have u*u = p, for every square p: one sweep of S_n.
@@ -205,9 +194,9 @@ def square_roots_count(p: Window) -> int:
 
     Deliberately brute force so it can serve as an oracle for closed-form
     counts: every call at the same n reads one shared exhaustive sweep of S_n.
-    Refuses n beyond SQUARE_ROOTS_CAP.
+    Refuses n beyond the ``square_roots`` cap.
     """
-    check_square_roots_cap(len(p))
+    require("square_roots", len(p))
     return _square_counts(len(p)).get(p, 0)
 
 

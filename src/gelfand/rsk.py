@@ -13,15 +13,13 @@ import itertools
 from functools import lru_cache
 
 from . import perm
-from .errors import CapacityError
+from .errors import require
 from .model_hecke import mu_descent_number
 from .perm import Partition, Window
 from .qpoly import ZERO, QPoly, minus_q_power
 from .report import Check, Report
 
 Tableau = tuple[tuple[int, ...], ...]
-
-FIXEDPOINT_REPORT_CAP = 8
 
 
 def shape(t: Tableau) -> Partition:
@@ -219,14 +217,14 @@ def character_dimension(lam: Partition) -> int:
 
 
 def check_verify_caps(n: int) -> None:
-    """Refuse an n beyond the fixed-point report, which verify_rsk runs at every n."""
-    if n > FIXEDPOINT_REPORT_CAP:
-        raise CapacityError(f"report capped at n={FIXEDPOINT_REPORT_CAP}, got {n}")
+    """Refuse an n beyond verify_rsk's cap or the fixed-point report it runs at every n."""
+    require("verify_rsk", n)
+    require("fixedpoint_report", n)
 
 
 def involution_fixedpoint_vs_oddcolumns(n: int) -> Report:
     """Involutions with f fixed points are counted by tableaux with f odd columns."""
-    check_verify_caps(n)
+    require("fixedpoint_report", n)
     inv_counts: dict[int, int] = {}
     for w in perm.enumerate_involutions(n):
         f = len(perm.fixed_points(w))

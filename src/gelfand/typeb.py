@@ -14,15 +14,12 @@ from functools import lru_cache
 from typing import Iterator, Mapping
 
 from . import perm
-from .errors import CapacityError
-from .model_sn import ModelBasis, SignedPermMatrix
+from .errors import CapacityError, cap, require
+from .model_sn import ModelBasis, SignedPermMatrix, relation_checks
 from .perm import Window
 from .report import Check, Report
 
 SignedWindow = tuple[int, ...]
-
-TYPEB_VERIFY_CAP = 4
-TYPEB_SLOW_CAP = 5
 
 
 def b_identity(n: int) -> SignedWindow:
@@ -166,12 +163,6 @@ def rho_b_of_element(
     return out
 
 
-def check_b_square_roots_cap(n: int) -> None:
-    """Refuse an n whose square roots are too many to count by exhausting B_n."""
-    if n > TYPEB_SLOW_CAP:
-        raise CapacityError(f"square root enumeration capped at n={TYPEB_SLOW_CAP}")
-
-
 @lru_cache(maxsize=None)
 def _b_square_counts(n: int) -> dict[SignedWindow, int]:
     """How many u in B_n have u*u = g, for every square g: one sweep of B_n."""
@@ -183,11 +174,11 @@ def _b_square_counts(n: int) -> dict[SignedWindow, int]:
 
 
 def b_square_roots_count(g: SignedWindow) -> int:
-    """Number of u in B_n with u*u = g, by exhaustion; capped at n=5.
+    """Number of u in B_n with u*u = g, by exhaustion, within the ``b_square_roots`` cap.
 
     Every call at the same n reads one shared exhaustive sweep of B_n.
     """
-    check_b_square_roots_cap(len(g))
+    require("b_square_roots", len(g))
     return _b_square_counts(len(g)).get(g, 0)
 
 
@@ -223,70 +214,39 @@ def pairs_of_partitions_count(n: int) -> int:
     return sum(p[k] * p[n - k] for k in range(n + 1))
 
 
-def check_verify_caps(n: int, cap: int = TYPEB_VERIFY_CAP) -> None:
+def check_verify_caps(n: int, slow: bool = False) -> None:
     """Refuse an n that verify_b_model or its square-root oracle would reject."""
-    if not 1 <= n <= cap:
-        raise CapacityError(f"verify_b_model needs 1 <= n <= {cap}, got {n}")
-    check_b_square_roots_cap(n)
+    name = "verify_typeb_slow" if slow else "verify_typeb"
+    require(name, n)
+    if n < 1:
+        raise CapacityError(f"verify_b_model needs 1 <= n <= {cap(name)}, got {n}")
+    require("b_square_roots", n)
 
 
-def verify_b_model(n: int, *, cap: int = TYPEB_VERIFY_CAP) -> Report:
+def verify_b_model(n: int, *, slow: bool = False) -> Report:
     """Check the type-B relations and the square-root trace identity.
 
+    ``slow`` raises the size cap from ``verify_typeb`` to ``verify_typeb_slow``.
     The square-root counts come from one shared exhaustive sweep of B_n and
     the class representatives from one orbit search over B_n.
     """
-    check_verify_caps(n, cap)
+    check_verify_caps(n, slow)
     basis = b_model_basis(n)
     checks: list[Check] = []
     gens = {i: rho_b_generator(i, basis) for i in range(n)}
     ident = SignedPermMatrix.identity(basis.dim)
 
-    squares = [i for i, m in gens.items() if m @ m != ident]
-    checks.append(
-        Check(
-            "generator squares are the identity",
-            not squares,
-            "" if not squares else f"fails at i={squares[0]}",
-        )
+    squares, commute, braid = relation_checks(
+        gens,
+        lambda m: m @ m == ident,
+        "generator squares are the identity",
+        "braid relation for adjacent transpositions",
     )
-
+    checks.append(squares)
     if n >= 2:
         m01 = gens[0] @ gens[1]
-        checks.append(
-            Check(
-                "s0 s1 has order four",
-                m01 @ m01 @ m01 @ m01 == ident,
-                "",
-            )
-        )
-
-    braid_bad = [
-        i
-        for i in range(1, n - 1)
-        if gens[i] @ gens[i + 1] @ gens[i] != gens[i + 1] @ gens[i] @ gens[i + 1]
-    ]
-    checks.append(
-        Check(
-            "braid relation for adjacent transpositions",
-            not braid_bad,
-            "" if not braid_bad else f"fails at i={braid_bad[0]}",
-        )
-    )
-
-    comm_bad = [
-        (i, j)
-        for i in gens
-        for j in gens
-        if j > i + 1 and gens[i] @ gens[j] != gens[j] @ gens[i]
-    ]
-    checks.append(
-        Check(
-            "distant generators commute",
-            not comm_bad,
-            "" if not comm_bad else f"fails at {comm_bad[0]}",
-        )
-    )
+        checks.append(Check("s0 s1 has order four", m01 @ m01 @ m01 @ m01 == ident, ""))
+    checks += [braid, commute]
 
     elements = (
         sorted(b_elements(n), key=signed_sort_key)

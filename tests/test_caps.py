@@ -1,0 +1,39 @@
+import pytest
+
+from gelfand import typeb
+from gelfand.errors import CAPS, CapacityError, cap, require
+
+ORACLE_CAPS = {"square_roots": 9, "b_square_roots": 5, "length_oracle": 8, "fixedpoint_report": 8}
+
+
+def test_gelfand_cap_raises_runtime_caps_only(monkeypatch):
+    monkeypatch.setenv("GELFAND_CAP", "12")
+    for name in CAPS:
+        assert cap(name) == ORACLE_CAPS.get(name, 12), name
+
+
+def test_gelfand_cap_never_lowers_a_cap(monkeypatch):
+    monkeypatch.setenv("GELFAND_CAP", "1")
+    assert {name: cap(name) for name in CAPS} == {name: CAPS[name][0] for name in CAPS}
+
+
+def test_bad_gelfand_cap_is_refused_where_it_applies(monkeypatch):
+    monkeypatch.setenv("GELFAND_CAP", "x")
+    with pytest.raises(CapacityError, match="GELFAND_CAP must be an integer, got 'x'"):
+        cap("poset")
+    assert cap("square_roots") == 9
+
+
+def test_library_refusals_use_the_table_text(monkeypatch):
+    monkeypatch.delenv("GELFAND_CAP", raising=False)
+    with pytest.raises(CapacityError) as exc:
+        typeb.verify_b_model(5)
+    assert str(exc.value) == "typeb verification is capped at n=4 (got n=5); set GELFAND_CAP to raise"
+    with pytest.raises(CapacityError) as exc:
+        require("fixedpoint_report", 9)
+    assert str(exc.value) == "report capped at n=8, got 9"
+
+
+def test_library_honours_gelfand_cap(monkeypatch):
+    monkeypatch.setenv("GELFAND_CAP", "5")
+    assert typeb.verify_b_model(5).passed

@@ -142,6 +142,11 @@ def test_characters_hecke_lambda(capsys):
     assert by_mu[(1, 1, 1)]["classical_oracle"] == 2
 
 
+def test_characters_sn_refuses_lambda(capsys):
+    code, out, err = run(capsys, "characters", "--kind", "sn", "--n", "3", "--lambda", "2,1")
+    assert (code, out, err) == (2, "", "error: --lambda needs --kind hecke\n")
+
+
 def test_characters_mismatch_exit(capsys, monkeypatch):
     from gelfand import model_sn
 
@@ -184,6 +189,13 @@ def test_missing_n_is_usage_error():
 def test_bad_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["matrix", "--kind", "nope", "--n", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [("--seed", "1"), ("--slow",)])
+def test_seed_and_slow_belong_to_verify_only(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["involutions", "--n", "2", *flag])
     assert exc.value.code == 2
 
 
