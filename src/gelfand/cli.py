@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from dataclasses import dataclass
@@ -130,20 +129,32 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _emit_table(fmt: str, header: list[str], rows: list[list[str]], json_rows: list[dict]) -> None:
+def _cell(key: str, value) -> str:
+    """Text and csv rendering of one record field."""
+    if key == "match":
+        return "ok" if value else "MISMATCH"
+    if key == "descents":
+        return " ".join(map(str, value)) or "-"
+    if key == "pairs":
+        return "".join(f"({a},{b})" for a, b in value) or "-"
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def _emit_table(fmt: str, records: list[dict]) -> None:
+    """Print the records as JSON, or one table row each with their keys as header."""
     if fmt == "json":
-        print(json.dumps(json_rows, indent=2, sort_keys=True))
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        print(json.dumps(records, indent=2, sort_keys=True))
+        return
+    header = list(records[0])
+    rows = [[_cell(k, r[k]) for k in header] for r in records]
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
     else:
-        widths = [
-            max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c])
-            for c in range(len(header))
-        ]
+        widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(header)]
         print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
         for r in rows:
             print("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip())
@@ -151,34 +162,18 @@ def _emit_table(fmt: str, header: list[str], rows: list[list[str]], json_rows: l
 
 def cmd_involutions(cfg: RunConfig) -> int:
     require("involutions", cfg.n)
-    header = ["index", "window", "cycles", "length", "descents", "pairs"]
-    rows = []
-    json_rows = []
-    for idx, w in enumerate(perm.enumerate_involutions(cfg.n)):
-        pairs = perm.involution_pairs(w)
-        descents = sorted(perm.descent_set(w))
-        lh = model_hecke.involutive_length(w)
-        rows.append(
-            [
-                str(idx),
-                ",".join(map(str, w)),
-                perm.cycle_notation(w),
-                str(lh),
-                " ".join(map(str, descents)) or "-",
-                "".join(f"({a},{b})" for a, b in pairs) or "-",
-            ]
-        )
-        json_rows.append(
-            {
-                "index": idx,
-                "window": list(w),
-                "cycles": perm.cycle_notation(w),
-                "length": lh,
-                "descents": descents,
-                "pairs": [list(p) for p in pairs],
-            }
-        )
-    _emit_table(cfg.fmt, header, rows, json_rows)
+    records = [
+        {
+            "index": idx,
+            "window": list(w),
+            "cycles": perm.cycle_notation(w),
+            "length": model_hecke.involutive_length(w),
+            "descents": sorted(perm.descent_set(w)),
+            "pairs": [list(p) for p in perm.involution_pairs(w)],
+        }
+        for idx, w in enumerate(perm.enumerate_involutions(cfg.n))
+    ]
+    _emit_table(cfg.fmt, records)
     return 0
 
 
@@ -272,73 +267,57 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _sn_character_rows(cfg: RunConfig):
+def _sn_character_rows(cfg: RunConfig) -> list[dict]:
     basis = model_sn.model_basis(cfg.n)
-    rows, json_rows, ok = [], [], True
-    classes = perm.conjugacy_class_reps(cfg.n)
-    if cfg.mu is not None:
-        classes = [(ct, rep) for ct, rep in classes if ct == cfg.mu]
-    for ct, rep in classes:
+    records = []
+    for ct, rep in perm.conjugacy_class_reps(cfg.n):
+        if cfg.mu is not None and ct != cfg.mu:
+            continue
         tr = model_sn.rho_character(rep, basis)
         brute = perm.square_roots_count(rep)
         formula = model_sn.fs_count_formula(perm.multiplicities(ct))
-        match = tr == brute == formula
-        ok = ok and match
-        ct_str = ",".join(map(str, ct))
-        rows.append([ct_str, str(tr), str(brute), str(formula), "ok" if match else "MISMATCH"])
-        json_rows.append(
+        records.append(
             {
                 "class": list(ct),
                 "trace": tr,
                 "square_roots": brute,
                 "formula": formula,
-                "match": match,
+                "match": tr == brute == formula,
             }
         )
-    return ["class", "trace", "square_roots", "formula", "match"], rows, json_rows, ok
+    return records
 
 
-def _hecke_character_rows(cfg: RunConfig):
+def _hecke_character_rows(cfg: RunConfig) -> list[dict]:
     basis = model_sn.model_basis(cfg.n)
-    mus = list(perm.partitions(cfg.n))
-    if cfg.mu is not None:
-        mus = [mu for mu in mus if mu == cfg.mu]
-    rows, json_rows, ok = [], [], True
-    if cfg.lam is not None:
-        for mu in mus:
+    mus = [mu for mu in perm.partitions(cfg.n) if cfg.mu is None or mu == cfg.mu]
+    records = []
+    for mu in mus:
+        if cfg.lam is not None:
             val = rsk.irreducible_hecke_character(cfg.lam, mu)
             at1 = val.evaluate(1)
             oracle = rsk.mn_character(cfg.lam, mu)
-            match = at1 == oracle
-            ok = ok and match
-            rows.append(
-                [",".join(map(str, mu)), str(val), str(at1), str(oracle), "ok" if match else "MISMATCH"]
-            )
-            json_rows.append(
+            records.append(
                 {
                     "mu": list(mu),
                     "value": str(val),
                     "value_at_1": at1,
                     "classical_oracle": oracle,
-                    "match": match,
+                    "match": at1 == oracle,
                 }
             )
-        return ["mu", "value", "value_at_1", "classical_oracle", "match"], rows, json_rows, ok
-    for mu in mus:
-        tr = model_hecke.hecke_model_character(mu, basis)
-        um = model_hecke.mu_unimodal_character(mu)
-        match = tr == um
-        ok = ok and match
-        rows.append([",".join(map(str, mu)), str(tr), str(um), "ok" if match else "MISMATCH"])
-        json_rows.append(
-            {
-                "mu": list(mu),
-                "trace": str(tr),
-                "unimodal_sum": str(um),
-                "match": match,
-            }
-        )
-    return ["mu", "trace", "unimodal_sum", "match"], rows, json_rows, ok
+        else:
+            tr = model_hecke.hecke_model_character(mu, basis)
+            um = model_hecke.mu_unimodal_character(mu)
+            records.append(
+                {
+                    "mu": list(mu),
+                    "trace": str(tr),
+                    "unimodal_sum": str(um),
+                    "match": tr == um,
+                }
+            )
+    return records
 
 
 def cmd_characters(cfg: RunConfig) -> int:
@@ -346,12 +325,12 @@ def cmd_characters(cfg: RunConfig) -> int:
         if cfg.lam is not None:
             raise UsageError("--lambda needs --kind hecke")
         require("characters_sn", cfg.n)
-        header, rows, json_rows, ok = _sn_character_rows(cfg)
+        records = _sn_character_rows(cfg)
     else:
         require("characters_lambda" if cfg.lam is not None else "characters_hecke", cfg.n)
-        header, rows, json_rows, ok = _hecke_character_rows(cfg)
-    _emit_table(cfg.fmt, header, rows, json_rows)
-    return 0 if ok else 1
+        records = _hecke_character_rows(cfg)
+    _emit_table(cfg.fmt, records)
+    return 0 if all(r["match"] for r in records) else 1
 
 
 def cmd_poset(cfg: RunConfig) -> int:
@@ -386,6 +365,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    import signal
+
+    # A reader that stops early (``gelfand ... | head``) ends the process
+    # quietly, as for any filter, instead of raising BrokenPipeError.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

@@ -15,7 +15,7 @@ from typing import Literal, Mapping
 
 from . import perm
 from .errors import CapacityError, InternalConsistencyError, cap, require
-from .model_sn import ModelBasis, model_basis, relation_checks, rho_generator_matrix
+from .model_sn import ModelBasis, model_basis, pair_orbits, relation_checks, rho_generator_matrix
 from .perm import Partition, Window
 from .qpoly import ONE, Q, ZERO, PolyMatrix, QPoly, minus_q_power
 from .report import Check, Report
@@ -65,19 +65,10 @@ def _conjugation_distances(n: int, k: int) -> dict[Window, int]:
     generator at a time, and any walk yields a conjugator of its length.
     """
     gens = [perm.generator(n, i) for i in range(1, n)]
-    start = minimal_involution(n, k)
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for s in gens:
-                u = perm.compose(s, perm.compose(v, s))
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    return dist
+    paths = perm.bfs(
+        minimal_involution(n, k), lambda v: [perm.compose(s, perm.compose(v, s)) for s in gens]
+    )
+    return {w: len(path) for w, path in paths.items()}
 
 
 def involutive_length_oracle(w: Window) -> int:
@@ -174,12 +165,7 @@ def t_mu_word(mu: Partition) -> list[int]:
 
 def mu_descent_number(w: Window, mu: Partition) -> int:
     """Descents of w that are not block boundaries of mu."""
-    cuts = set()
-    acc = 0
-    for part in mu[:-1]:
-        acc += part
-        cuts.add(acc)
-    return len(perm.descent_set(w) - cuts)
+    return len(perm.descent_set(w).intersection(t_mu_word(mu)))
 
 
 def hecke_model_character(mu: Partition, basis: ModelBasis) -> QPoly:
@@ -208,48 +194,40 @@ def _orbit_interval_witness(n: int) -> str | None:
     of consecutive lengths, size-6 orbits form the hexagonal interval with a
     unique minimum and maximum.
     """
-    from .model_sn import orbit_under_pair
-
     lengths = involutive_order(n).lengths
-    for i in range(1, n - 1):
-        done = set()
-        for w in model_basis(n).involutions:
-            orbit = orbit_under_pair(i, w)
-            if orbit in done:
-                continue
-            done.add(orbit)
-            levels = sorted(lengths[v] for v in orbit)
-            if len(orbit) == 1:
-                if order_relation(w, i) != "fixed_nondescent" or order_relation(
-                    w, i + 1
-                ) != "fixed_nondescent":
-                    return f"size-1 orbit with a descent: i={i}, w={w}"
-            elif len(orbit) == 3:
-                lo = levels[0]
-                if levels != [lo, lo + 1, lo + 2]:
-                    return f"size-3 orbit not a chain: i={i}, levels={levels}"
-            elif len(orbit) == 6:
-                lo = levels[0]
-                if levels != [lo, lo + 1, lo + 1, lo + 2, lo + 2, lo + 3]:
-                    return f"size-6 orbit not hexagonal: i={i}, levels={levels}"
-                bottom = [v for v in orbit if lengths[v] == lo][0]
-                si = perm.generator(n, i)
-                sj = perm.generator(n, i + 1)
-                a = perm.compose(si, perm.compose(bottom, si))
-                b = perm.compose(sj, perm.compose(bottom, sj))
-                ab = perm.compose(sj, perm.compose(a, sj))
-                ba = perm.compose(si, perm.compose(b, si))
-                top = perm.compose(si, perm.compose(ab, si))
-                if (
-                    len({bottom, a, b, ab, ba, top}) != 6
-                    or [lengths[v] for v in (a, b)] != [lo + 1, lo + 1]
-                    or [lengths[v] for v in (ab, ba)] != [lo + 2, lo + 2]
-                    or lengths[top] != lo + 3
-                    or top != perm.compose(sj, perm.compose(ba, sj))
-                ):
-                    return f"size-6 orbit lacks the hexagon structure: i={i}, w={bottom}"
-            else:
-                return f"orbit of size {len(orbit)} at i={i}, w={w}"
+    for i, w, orbit in pair_orbits(n):
+        levels = sorted(lengths[v] for v in orbit)
+        if len(orbit) == 1:
+            if order_relation(w, i) != "fixed_nondescent" or order_relation(
+                w, i + 1
+            ) != "fixed_nondescent":
+                return f"size-1 orbit with a descent: i={i}, w={w}"
+        elif len(orbit) == 3:
+            lo = levels[0]
+            if levels != [lo, lo + 1, lo + 2]:
+                return f"size-3 orbit not a chain: i={i}, levels={levels}"
+        elif len(orbit) == 6:
+            lo = levels[0]
+            if levels != [lo, lo + 1, lo + 1, lo + 2, lo + 2, lo + 3]:
+                return f"size-6 orbit not hexagonal: i={i}, levels={levels}"
+            bottom = [v for v in orbit if lengths[v] == lo][0]
+            si = perm.generator(n, i)
+            sj = perm.generator(n, i + 1)
+            a = perm.compose(si, perm.compose(bottom, si))
+            b = perm.compose(sj, perm.compose(bottom, sj))
+            ab = perm.compose(sj, perm.compose(a, sj))
+            ba = perm.compose(si, perm.compose(b, si))
+            top = perm.compose(si, perm.compose(ab, si))
+            if (
+                len({bottom, a, b, ab, ba, top}) != 6
+                or [lengths[v] for v in (a, b)] != [lo + 1, lo + 1]
+                or [lengths[v] for v in (ab, ba)] != [lo + 2, lo + 2]
+                or lengths[top] != lo + 3
+                or top != perm.compose(sj, perm.compose(ba, sj))
+            ):
+                return f"size-6 orbit lacks the hexagon structure: i={i}, w={bottom}"
+        else:
+            return f"orbit of size {len(orbit)} at i={i}, w={w}"
     return None
 
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from . import perm
 from .errors import CapacityError, cap, require
@@ -87,23 +87,30 @@ def inv_w(p: Window, w: Window) -> int:
     return sum(1 for a, b in perm.involution_pairs(w) if p[a - 1] > p[b - 1])
 
 
-def sign_of_generator(i: int, w: Window) -> int:
-    """-1 when s_i fixes w by conjugation and is a descent of w, else +1."""
-    s = perm.generator(len(w), i)
-    if perm.compose(s, perm.compose(w, s)) == w and i in perm.descent_set(w):
-        return -1
-    return 1
+def signed_conjugation(
+    basis: ModelBasis,
+    s: tuple[int, ...],
+    compose: Callable[[Any, Any], Any],
+    descent: Callable[[Any], bool],
+) -> SignedPermMatrix:
+    """Action of the involutive generator s: C_w goes to -C_w or to C_{s w s}.
+
+    The sign is -1 exactly when s fixes w by conjugation and ``descent(w)``
+    holds.  S_n and B_n both build their generator matrices here.
+    """
+    rows = []
+    signs = []
+    for w in basis.involutions:
+        sws = compose(s, compose(w, s))
+        rows.append(basis.index[sws])
+        signs.append(-1 if sws == w and descent(w) else 1)
+    return SignedPermMatrix(basis.dim, tuple(rows), tuple(signs))
 
 
 def rho_generator_matrix(i: int, basis: ModelBasis) -> SignedPermMatrix:
     """Action of s_i from the two-case sign rule (no inversion counting)."""
     s = perm.generator(basis.n, i)
-    rows = []
-    signs = []
-    for w in basis.involutions:
-        rows.append(basis.index[perm.compose(s, perm.compose(w, s))])
-        signs.append(sign_of_generator(i, w))
-    return SignedPermMatrix(basis.dim, tuple(rows), tuple(signs))
+    return signed_conjugation(basis, s, perm.compose, lambda w: w[i - 1] > w[i])
 
 
 @lru_cache(maxsize=None)
@@ -183,18 +190,21 @@ def orbit_under_pair(i: int, w: Window) -> frozenset[Window]:
     if not 1 <= i <= n - 2:
         raise ValueError(f"need 1 <= i <= n-2, got i={i} for n={n}")
     gens = [perm.generator(n, i), perm.generator(n, i + 1)]
-    orbit = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for s in gens:
-                u = perm.compose(s, perm.compose(v, s))
-                if u not in orbit:
-                    orbit.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return frozenset(orbit)
+    return frozenset(perm.bfs(w, lambda v: [perm.compose(s, perm.compose(v, s)) for s in gens]))
+
+
+def pair_orbits(n: int) -> Iterator[tuple[int, Window, frozenset[Window]]]:
+    """Every distinct <s_i, s_{i+1}> orbit of the basis once, for i = 1..n-2.
+
+    Yields (i, w, orbit), with w the orbit's first involution in basis order.
+    """
+    for i in range(1, n - 1):
+        seen: set[Window] = set()
+        for w in model_basis(n).involutions:
+            if w not in seen:
+                orbit = orbit_under_pair(i, w)
+                seen |= orbit
+                yield i, w, orbit
 
 
 def sign_cocycle_witness(
@@ -244,22 +254,15 @@ def _descent_equivalence_holds(i: int, orbit: frozenset[Window]) -> bool:
 
 def orbit_checks(n: int) -> list[Check]:
     """Orbit sizes are 1, 3 or 6; size-3 orbits satisfy the descent equivalence."""
-    basis = model_basis(n)
     sizes_seen: dict[int, int] = {}
     bad_size = None
     bad_equiv = None
-    for i in range(1, n - 1):
-        done: set[frozenset[Window]] = set()
-        for w in basis.involutions:
-            orbit = orbit_under_pair(i, w)
-            if orbit in done:
-                continue
-            done.add(orbit)
-            sizes_seen[len(orbit)] = sizes_seen.get(len(orbit), 0) + 1
-            if len(orbit) not in (1, 3, 6):
-                bad_size = (i, w, len(orbit))
-            elif len(orbit) == 3 and not _descent_equivalence_holds(i, orbit):
-                bad_equiv = (i, sorted(orbit)[0])
+    for i, w, orbit in pair_orbits(n):
+        sizes_seen[len(orbit)] = sizes_seen.get(len(orbit), 0) + 1
+        if len(orbit) not in (1, 3, 6):
+            bad_size = (i, w, len(orbit))
+        elif len(orbit) == 3 and not _descent_equivalence_holds(i, orbit):
+            bad_equiv = (i, w)
     size_detail = (
         f"orbit size counts {dict(sorted(sizes_seen.items()))}"
         if bad_size is None

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import require
 
@@ -175,18 +175,25 @@ def enumerate_involutions(n: int) -> tuple[Window, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
-def _square_counts(n: int) -> dict[Window, int]:
-    """How many u in S_n have u*u = p, for every square p: one sweep of S_n.
+def square_histogram(
+    elements: Iterable[Window], compose: Callable[[Window, Window], Window]
+) -> dict[Window, int]:
+    """How many u among ``elements`` have compose(u, u) = g, for every square g.
 
-    Keyed by the square itself, not by its cycle type, so the oracle does not
-    presume that the count is a class function.
+    Keyed by the square itself, not by its class, so an oracle built on it
+    does not presume that the count is a class function.
     """
     counts: dict[Window, int] = {}
-    for u in itertools.permutations(range(1, n + 1)):
+    for u in elements:
         sq = compose(u, u)
         counts[sq] = counts.get(sq, 0) + 1
     return counts
+
+
+@lru_cache(maxsize=None)
+def _square_counts(n: int) -> dict[Window, int]:
+    """How many u in S_n have u*u = p, for every square p: one sweep of S_n."""
+    return square_histogram(itertools.permutations(range(1, n + 1)), compose)
 
 
 def square_roots_count(p: Window) -> int:
@@ -260,24 +267,38 @@ def conjugacy_class_reps(n: int) -> list[tuple[Partition, Window]]:
     return out
 
 
+def bfs(start: Hashable, moves: Callable[[Any], Sequence[Any]]) -> dict[Any, tuple[int, ...]]:
+    """Breadth-first walk from ``start``; ``moves(v)`` lists v's neighbours in a fixed order.
+
+    Maps every node reached to the first path found to it, the tuple of
+    neighbour positions taken from ``start``.  Each such path is a shortest
+    one and, among the shortest, the lexicographically least.
+
+    >>> bfs(0, lambda v: [(v + 1) % 4, (v + 3) % 4])
+    {0: (), 1: (0,), 3: (1,), 2: (0, 0)}
+    """
+    paths = {start: ()}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            path = paths[v]
+            for k, u in enumerate(moves(v)):
+                if u not in paths:
+                    paths[u] = path + (k,)
+                    nxt.append(u)
+        frontier = nxt
+    return paths
+
+
 def bfs_word_lengths(n: int) -> dict[Window, int]:
     """Minimal generator word length of every element, by BFS on the Cayley graph.
 
     Oracle for ``length`` and the descent criterion; exponential in n.
     """
     gens = [generator(n, i) for i in range(1, n)]
-    dist = {identity(n): 0}
-    frontier = [identity(n)]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = compose(p, g)
-                if q not in dist:
-                    dist[q] = dist[p] + 1
-                    nxt.append(q)
-        frontier = nxt
-    return dist
+    paths = bfs(identity(n), lambda p: [compose(p, g) for g in gens])
+    return {p: len(word) for p, word in paths.items()}
 
 
 def random_window(n: int, rng: random.Random) -> Window:

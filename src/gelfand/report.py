@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 
@@ -33,9 +32,6 @@ class Report:
                 for c in self.checks
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
     def text(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -15,8 +15,7 @@ from typing import Iterator, Mapping
 
 from . import perm
 from .errors import CapacityError, cap, require
-from .model_sn import ModelBasis, SignedPermMatrix, relation_checks
-from .perm import Window
+from .model_sn import ModelBasis, SignedPermMatrix, relation_checks, signed_conjugation
 from .report import Check, Report
 
 SignedWindow = tuple[int, ...]
@@ -94,10 +93,6 @@ def b_model_basis(n: int) -> ModelBasis:
     return ModelBasis(n=n, involutions=invs, index={w: i for i, w in enumerate(invs)})
 
 
-def abs_window(w: SignedWindow) -> Window:
-    return tuple(abs(x) for x in w)
-
-
 def b_descent_set(w: SignedWindow) -> set[int]:
     """0 when the first value is negative, plus the window descents."""
     out = {i for i in range(1, len(w)) if w[i - 1] > w[i]}
@@ -115,38 +110,13 @@ def b_bfs_word_lengths(n: int) -> dict[SignedWindow, int]:
 def b_shortest_words(n: int) -> dict[SignedWindow, tuple[int, ...]]:
     """A shortest generator word per element (lexicographically least one)."""
     gens = [b_generator(n, i) for i in range(n)]
-    words: dict[SignedWindow, tuple[int, ...]] = {b_identity(n): ()}
-    frontier = [b_identity(n)]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for i, s in enumerate(gens):
-                h = b_compose(g, s)
-                if h not in words:
-                    words[h] = words[g] + (i,)
-                    nxt.append(h)
-        frontier = nxt
-    return words
+    return perm.bfs(b_identity(n), lambda g: [b_compose(g, s) for s in gens])
 
 
 def rho_b_generator(i: int, basis: ModelBasis) -> SignedPermMatrix:
     """Signed conjugation by a generator on the involution basis."""
-    n = basis.n
-    s = b_generator(n, i)
-    rows = []
-    signs = []
-    for w in basis.involutions:
-        sws = b_compose(s, b_compose(w, s))
-        rows.append(basis.index[sws])
-        if sws == w:
-            if i == 0:
-                descent = 0 in b_descent_set(w)
-            else:
-                descent = i in perm.descent_set(abs_window(w))
-            signs.append(-1 if descent else 1)
-        else:
-            signs.append(1)
-    return SignedPermMatrix(basis.dim, tuple(rows), tuple(signs))
+    descent = (lambda w: w[0] < 0) if i == 0 else (lambda w: abs(w[i - 1]) > abs(w[i]))
+    return signed_conjugation(basis, b_generator(basis.n, i), b_compose, descent)
 
 
 def rho_b_of_element(
@@ -166,11 +136,7 @@ def rho_b_of_element(
 @lru_cache(maxsize=None)
 def _b_square_counts(n: int) -> dict[SignedWindow, int]:
     """How many u in B_n have u*u = g, for every square g: one sweep of B_n."""
-    counts: dict[SignedWindow, int] = {}
-    for u in b_elements(n):
-        sq = b_compose(u, u)
-        counts[sq] = counts.get(sq, 0) + 1
-    return counts
+    return perm.square_histogram(b_elements(n), b_compose)
 
 
 def b_square_roots_count(g: SignedWindow) -> int:
@@ -193,18 +159,9 @@ def b_conjugacy_class_reps(n: int) -> tuple[SignedWindow, ...]:
     seen: set[SignedWindow] = set()
     reps = []
     for g in sorted(b_elements(n), key=signed_sort_key):
-        if g in seen:
-            continue
-        reps.append(g)
-        seen.add(g)
-        stack = [g]
-        while stack:
-            h = stack.pop()
-            for s in gens:
-                c = b_compose(s, b_compose(h, s))
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
+        if g not in seen:
+            reps.append(g)
+            seen.update(perm.bfs(g, lambda h: [b_compose(s, b_compose(h, s)) for s in gens]))
     return tuple(reps)
 
 

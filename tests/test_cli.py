@@ -1,8 +1,16 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gelfand.cli import main
+from gelfand.qpoly import QPoly
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *args):
@@ -147,13 +155,44 @@ def test_characters_sn_refuses_lambda(capsys):
     assert (code, out, err) == (2, "", "error: --lambda needs --kind hecke\n")
 
 
-def test_characters_mismatch_exit(capsys, monkeypatch):
-    from gelfand import model_sn
+_WRONG_ORACLES = {
+    "sn": ("model_sn", "rho_character", lambda p, basis: 999),
+    "hecke": ("model_hecke", "mu_unimodal_character", lambda mu: QPoly.constant(999)),
+    "lambda": ("rsk", "mn_character", lambda lam, mu: 999),
+}
 
-    monkeypatch.setattr(model_sn, "rho_character", lambda p, basis: 999)
-    code, out, _ = run(capsys, "characters", "--kind", "sn", "--n", "3")
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("table", ["sn", "hecke", "lambda"])
+def test_characters_mismatch_exit(capsys, monkeypatch, table, fmt):
+    module, name, wrong = _WRONG_ORACLES[table]
+    monkeypatch.setattr(importlib.import_module(f"gelfand.{module}"), name, wrong)
+    args = ["--kind", "sn"] if table == "sn" else ["--kind", "hecke"]
+    if table == "lambda":
+        args += ["--lambda", "2,1"]
+    code, out, _ = run(capsys, "characters", "--n", "3", "--format", fmt, *args)
     assert code == 1
-    assert "MISMATCH" in out
+    assert ('"match": false' if fmt == "json" else "MISMATCH") in out
+
+
+def test_broken_pipe_exits_quietly():
+    env = dict(os.environ)
+    env.pop("GELFAND_CAP", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gelfand.cli", "involutions", "--n", "9"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"index")
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+    assert code != 1
 
 
 def test_characters_single_mu(capsys):

@@ -14,11 +14,11 @@ from gelfand.model_sn import (
     model_basis,
     orbit_checks,
     orbit_under_pair,
+    pair_orbits,
     rho_character,
     rho_generator_matrix,
     rho_matrix,
     sign_cocycle_witness,
-    sign_of_generator,
     verify_sn_model,
 )
 
@@ -31,18 +31,21 @@ def test_inv_w_examples():
 
 
 def test_sign_of_generator_examples():
-    assert sign_of_generator(1, (2, 1)) == -1
-    assert sign_of_generator(1, (1, 2, 3)) == 1
+    b2, b3 = model_basis(2), model_basis(3)
+    assert rho_generator_matrix(1, b2).signs[b2.index[(2, 1)]] == -1
+    assert rho_generator_matrix(1, b3).signs[b3.index[(1, 2, 3)]] == 1
     # s_2 moves (1 2) to (1 3), so no sign
-    assert sign_of_generator(2, (2, 1, 3)) == 1
+    assert rho_generator_matrix(2, b3).signs[b3.index[(2, 1, 3)]] == 1
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_sign_rule_equals_inversion_parity(n):
-    for w in model_basis(n).involutions:
-        for i in range(1, n):
-            s = perm.generator(n, i)
-            assert sign_of_generator(i, w) == (-1) ** inv_w(s, w)
+    basis = model_basis(n)
+    for i in range(1, n):
+        s = perm.generator(n, i)
+        signs = rho_generator_matrix(i, basis).signs
+        for c, w in enumerate(basis.involutions):
+            assert signs[c] == (-1) ** inv_w(s, w)
 
 
 def test_identity_acts_trivially():
@@ -159,6 +162,19 @@ def test_orbit_size_examples():
     assert len(orbit_under_pair(1, (1, 2, 3, 5, 4))) == 1
     assert len(orbit_under_pair(1, perm.generator(3, 1))) == 3
     assert len(orbit_under_pair(1, (4, 5, 3, 1, 2))) == 6  # (1 4)(2 5)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_pair_orbits_cover_the_basis_once(n):
+    basis = model_basis(n)
+    found = {}
+    for i, w, orbit in pair_orbits(n):
+        assert w == min(orbit) and orbit == orbit_under_pair(i, w)
+        found.setdefault(i, []).append(orbit)
+    assert sorted(found) == list(range(1, n - 1))
+    for orbits in found.values():
+        covered = [v for orbit in orbits for v in orbit]
+        assert sorted(covered) == list(basis.involutions)
 
 
 @pytest.mark.parametrize("n", range(3, 7))

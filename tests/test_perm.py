@@ -48,6 +48,15 @@ def test_length_examples():
     assert perm.length((3, 2, 1)) == 3
 
 
+def test_bfs_paths_are_shortest_and_least():
+    # From a: c by (1,) and by the longer but smaller (0, 0, 0); d by (0, 1)
+    # and (1, 0); e by (0, 0) and (1, 1).
+    graph = {"a": "bc", "b": "ed", "c": "de", "d": "", "e": "cb"}
+    paths = perm.bfs("a", lambda v: graph[v])
+    assert paths == {"a": (), "b": (0,), "c": (1,), "e": (0, 0), "d": (0, 1)}
+    assert list(paths) == ["a", "b", "c", "e", "d"]
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_length_matches_word_length_oracle(n):
     oracle = perm.bfs_word_lengths(n)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from gelfand.errors import CapacityError
@@ -12,6 +14,7 @@ from gelfand.typeb import (
     b_inverse,
     b_involutions,
     b_model_basis,
+    b_shortest_words,
     b_square_roots_count,
     is_signed_window,
     pairs_of_partitions_count,
@@ -83,6 +86,23 @@ def test_descents_match_length_drop(n):
         assert b_descent_set(w) == drop
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shortest_words_are_least_among_shortest(n):
+    # Words by length, then lexicographically: the first word reaching an
+    # element is its lexicographically least shortest word.
+    expected = {b_identity(n): ()}
+    size = len(list(b_elements(n)))
+    length = 0
+    while len(expected) < size:
+        length += 1
+        for word in itertools.product(range(n), repeat=length):
+            g = b_identity(n)
+            for i in word:
+                g = b_compose(g, b_generator(n, i))
+            expected.setdefault(g, word)
+    assert b_shortest_words(n) == expected
+
+
 def test_sign_flip_generator_action():
     basis = b_model_basis(1)
     m = rho_b_generator(0, basis)
@@ -93,9 +113,11 @@ def test_sign_flip_generator_action():
 def test_fixed_descent_action_n2():
     basis = b_model_basis(2)
     m = rho_b_generator(1, basis)
-    col = basis.index[(2, 1)]
-    assert m.rows[col] == col
-    assert m.signs[col] == -1
+    # (-1, -2) has the signed descent at 1 but not the unsigned one, so no sign.
+    for w, sign in (((2, 1), -1), ((-1, -2), 1)):
+        col = basis.index[w]
+        assert m.rows[col] == col
+        assert m.signs[col] == sign
 
 
 def test_character_vector_n1():
