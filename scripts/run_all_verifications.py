@@ -7,7 +7,8 @@ anything fails.  --slow adds the n=8 class sweep and the B_5 sweep.
 
 import argparse
 
-from gelfand import model_hecke, model_sn, rsk, typeb
+from gelfand.cli import run_suite
+from gelfand.errors import CAPS, SUITES
 
 
 def main() -> int:
@@ -16,15 +17,13 @@ def main() -> int:
     parser.add_argument("--verbose", action="store_true", help="print every check")
     args = parser.parse_args()
 
-    reports = []
-    for n in range(2, 9 if args.slow else 8):
-        reports.append(model_sn.verify_sn_model(n, slow=args.slow))
-    for n in range(2, 7):
-        reports.append(model_hecke.verify_hecke_model(n))
-    for n in range(2, 9):
-        reports.append(rsk.verify_rsk(n))
-    for n in range(1, 6 if args.slow else 5):
-        reports.append(typeb.verify_b_model(n, slow=args.slow))
+    # Each suite from its first sweep size to its cap as written in the table,
+    # so GELFAND_CAP does not widen the sweep.
+    reports = [
+        run_suite(scope, n, slow=args.slow)
+        for scope, suite in SUITES.items()
+        for n in range(suite.sweep_from, CAPS[suite.cap_name(args.slow)][0] + 1)
+    ]
 
     failed = 0
     for r in reports:

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from . import model_hecke, model_sn, perm, rsk, typeb
-from .errors import CapacityError, InternalConsistencyError, cap, require
+from .errors import SUITES, CapacityError, InternalConsistencyError, cap, require, require_suite
 from .perm import Partition
 from .report import Report
 
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p, ("text", "json"), "text")
-    p.add_argument("--scope", choices=("sn", "hecke", "rsk", "typeb", "all"), required=True)
+    p.add_argument("--scope", choices=(*SUITES, "all"), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--slow", action="store_true", help="raise the slow-sweep caps")
 
@@ -220,40 +220,30 @@ def cmd_matrix(cfg: RunConfig) -> int:
     return 0
 
 
+def run_suite(scope: str, n: int, seed: int = 0, slow: bool = False) -> Report:
+    """Run the verify suite ``scope`` of ``errors.SUITES`` at n."""
+    if scope == "sn":
+        return model_sn.verify_sn_model(n, seed=seed, slow=slow)
+    if scope == "hecke":
+        return model_hecke.verify_hecke_model(n)
+    if scope == "rsk":
+        return rsk.verify_rsk(n)
+    return typeb.verify_b_model(n, slow=slow)
+
+
 def _verify_reports(cfg: RunConfig) -> list[Report]:
-    """Check the caps of every requested suite, then run the suites in order.
+    """Check the guard of every requested suite, then run the suites in order.
 
     Under ``--scope all`` each suite runs at the smaller of n and its own
     cap.  The oracle caps are checked in the first pass too, so a refused
     request does no work.
     """
-    slow = "_slow" if cfg.slow else ""
-    caps = {
-        "sn": "verify_sn" + slow,
-        "hecke": "verify_hecke",
-        "rsk": "verify_rsk",
-        "typeb": "verify_typeb" + slow,
-    }
-    scopes = tuple(caps) if cfg.scope == "all" else (cfg.scope,)
-    size = {s: cfg.n if s == cfg.scope else min(cfg.n, cap(caps[s])) for s in scopes}
-    if "sn" in scopes:
-        model_sn.check_verify_caps(size["sn"], cfg.slow)
-    if "hecke" in scopes:
-        model_hecke.check_verify_caps(size["hecke"])
-    if "rsk" in scopes:
-        rsk.check_verify_caps(size["rsk"])
-    if "typeb" in scopes:
-        typeb.check_verify_caps(size["typeb"], cfg.slow)
-    reports = []
-    if "sn" in scopes:
-        reports.append(model_sn.verify_sn_model(size["sn"], seed=cfg.seed, slow=cfg.slow))
-    if "hecke" in scopes:
-        reports.append(model_hecke.verify_hecke_model(size["hecke"]))
-    if "rsk" in scopes:
-        reports.append(rsk.verify_rsk(size["rsk"]))
-    if "typeb" in scopes:
-        reports.append(typeb.verify_b_model(size["typeb"], slow=cfg.slow))
-    return reports
+    scopes = tuple(SUITES) if cfg.scope == "all" else (cfg.scope,)
+    size = {}
+    for s in scopes:
+        size[s] = cfg.n if s == cfg.scope else min(cfg.n, cap(SUITES[s].cap_name(cfg.slow)))
+        require_suite(s, size[s], cfg.slow)
+    return [run_suite(s, size[s], cfg.seed, cfg.slow) for s in scopes]
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -289,11 +279,10 @@ def _sn_character_rows(cfg: RunConfig) -> list[dict]:
 
 
 def _hecke_character_rows(cfg: RunConfig) -> list[dict]:
-    basis = model_sn.model_basis(cfg.n)
     mus = [mu for mu in perm.partitions(cfg.n) if cfg.mu is None or mu == cfg.mu]
     records = []
-    for mu in mus:
-        if cfg.lam is not None:
+    if cfg.lam is not None:
+        for mu in mus:
             val = rsk.irreducible_hecke_character(cfg.lam, mu)
             at1 = val.evaluate(1)
             oracle = rsk.mn_character(cfg.lam, mu)
@@ -306,17 +295,19 @@ def _hecke_character_rows(cfg: RunConfig) -> list[dict]:
                     "match": at1 == oracle,
                 }
             )
-        else:
-            tr = model_hecke.hecke_model_character(mu, basis)
-            um = model_hecke.mu_unimodal_character(mu)
-            records.append(
-                {
-                    "mu": list(mu),
-                    "trace": str(tr),
-                    "unimodal_sum": str(um),
-                    "match": tr == um,
-                }
-            )
+        return records
+    basis = model_sn.model_basis(cfg.n)
+    for mu in mus:
+        tr = model_hecke.hecke_model_character(mu, basis)
+        um = model_hecke.mu_unimodal_character(mu)
+        records.append(
+            {
+                "mu": list(mu),
+                "trace": str(tr),
+                "unimodal_sum": str(um),
+                "match": tr == um,
+            }
+        )
     return records
 
 

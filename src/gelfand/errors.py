@@ -1,6 +1,7 @@
-"""Shared exception types, and the size caps with their refusals."""
+"""Shared exception types, the size caps with their refusals, and the verify suite guards."""
 
 import os
+from typing import NamedTuple
 
 
 class CapacityError(RuntimeError):
@@ -56,3 +57,39 @@ def require(name: str, n: int) -> None:
     largest = cap(name)
     if n > largest:
         raise CapacityError(CAPS[name][1].format(cap=largest, n=n))
+
+
+class Suite(NamedTuple):
+    """The guard of one verify suite: its sizes and the oracle it runs."""
+
+    function: str  # named in the refusal of an n below ``smallest``
+    smallest: int
+    cap: str
+    slow_cap: str  # the cap under --slow
+    oracle: str
+    sweep_from: int  # first n of the full sweep in scripts/run_all_verifications.py
+
+    def cap_name(self, slow: bool) -> str:
+        return self.slow_cap if slow else self.cap
+
+
+# The verify suites in the order ``verify --scope all`` runs them.
+SUITES: dict[str, Suite] = {
+    "sn": Suite("verify_sn_model", 2, "verify_sn", "verify_sn_slow", "square_roots", 2),
+    "hecke": Suite("verify_hecke_model", 2, "verify_hecke", "verify_hecke", "length_oracle", 2),
+    "rsk": Suite("verify_rsk", 1, "verify_rsk", "verify_rsk", "fixedpoint_report", 2),
+    "typeb": Suite(
+        "verify_b_model", 1, "verify_typeb", "verify_typeb_slow", "b_square_roots", 1
+    ),
+}
+
+
+def require_suite(scope: str, n: int, slow: bool = False) -> None:
+    """Refuse an n that the verify suite ``scope`` or its oracle would reject."""
+    suite = SUITES[scope]
+    name = suite.cap_name(slow)
+    require(name, n)
+    if n < suite.smallest:
+        largest = cap(name)
+        raise CapacityError(f"{suite.function} needs {suite.smallest} <= n <= {largest}, got {n}")
+    require(suite.oracle, n)

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Mapping
+from typing import Iterator, Literal, Mapping
 
 from . import perm
-from .errors import CapacityError, InternalConsistencyError, cap, require
+from .errors import InternalConsistencyError, require, require_suite
 from .model_sn import ModelBasis, model_basis, pair_orbits, relation_checks, rho_generator_matrix
 from .perm import Partition, Window
 from .qpoly import ONE, Q, ZERO, PolyMatrix, QPoly, minus_q_power
-from .report import Check, Report
+from .report import Check, Report, first_failure
 
 CaseTag = Literal["fixed_descent", "fixed_nondescent", "up", "down"]
 
@@ -187,8 +187,8 @@ def mu_unimodal_character(mu: Partition) -> QPoly:
     return total
 
 
-def _orbit_interval_witness(n: int) -> str | None:
-    """Shape check for every <s_i, s_{i+1}> orbit inside the weak order.
+def _orbit_interval_witnesses(n: int) -> Iterator[str]:
+    """A witness for every <s_i, s_{i+1}> orbit of the wrong shape in the weak order.
 
     Size-1 orbits are doubly fixed without descents, size-3 orbits are chains
     of consecutive lengths, size-6 orbits form the hexagonal interval with a
@@ -198,18 +198,17 @@ def _orbit_interval_witness(n: int) -> str | None:
     for i, w, orbit in pair_orbits(n):
         levels = sorted(lengths[v] for v in orbit)
         if len(orbit) == 1:
-            if order_relation(w, i) != "fixed_nondescent" or order_relation(
-                w, i + 1
-            ) != "fixed_nondescent":
-                return f"size-1 orbit with a descent: i={i}, w={w}"
+            if {order_relation(w, i), order_relation(w, i + 1)} != {"fixed_nondescent"}:
+                yield f"size-1 orbit with a descent: i={i}, w={w}"
         elif len(orbit) == 3:
             lo = levels[0]
             if levels != [lo, lo + 1, lo + 2]:
-                return f"size-3 orbit not a chain: i={i}, levels={levels}"
+                yield f"size-3 orbit not a chain: i={i}, levels={levels}"
         elif len(orbit) == 6:
             lo = levels[0]
             if levels != [lo, lo + 1, lo + 1, lo + 2, lo + 2, lo + 3]:
-                return f"size-6 orbit not hexagonal: i={i}, levels={levels}"
+                yield f"size-6 orbit not hexagonal: i={i}, levels={levels}"
+                continue
             bottom = [v for v in orbit if lengths[v] == lo][0]
             si = perm.generator(n, i)
             sj = perm.generator(n, i + 1)
@@ -225,38 +224,26 @@ def _orbit_interval_witness(n: int) -> str | None:
                 or lengths[top] != lo + 3
                 or top != perm.compose(sj, perm.compose(ba, sj))
             ):
-                return f"size-6 orbit lacks the hexagon structure: i={i}, w={bottom}"
+                yield f"size-6 orbit lacks the hexagon structure: i={i}, w={bottom}"
         else:
-            return f"orbit of size {len(orbit)} at i={i}, w={w}"
-    return None
-
-
-def check_verify_caps(n: int) -> None:
-    """Refuse an n that verify_hecke_model or its length oracle would reject."""
-    require("verify_hecke", n)
-    if n < 2:
-        raise CapacityError(f"verify_hecke_model needs 2 <= n <= {cap('verify_hecke')}, got {n}")
-    require("length_oracle", n)
+            yield f"orbit of size {len(orbit)} at i={i}, w={w}"
 
 
 def verify_hecke_model(n: int) -> Report:
     """Check the defining relations, the grading, and the trace identity."""
-    check_verify_caps(n)
+    require_suite("hecke", n)
     basis = model_basis(n)
-    checks: list[Check] = []
-
-    bad_len = [
-        w
-        for w in basis.involutions
-        if involutive_length(w) != involutive_length_oracle(w)
-    ]
-    checks.append(
-        Check(
+    checks = [
+        first_failure(
             "involutive length formula matches the BFS oracle",
-            not bad_len,
-            f"{basis.dim} involutions" if not bad_len else f"fails at w={bad_len[0]}",
+            (
+                f"fails at w={w}"
+                for w in basis.involutions
+                if involutive_length(w) != involutive_length_oracle(w)
+            ),
+            f"{basis.dim} involutions",
         )
-    )
+    ]
 
     case_bad = None
     tags: dict[str, int] = {}
@@ -275,32 +262,25 @@ def verify_hecke_model(n: int) -> Report:
         )
     )
 
-    grading_bad = [
-        w
-        for w in basis.involutions
-        if involutive_length(w) > 0
-        and not any(order_relation(w, i) == "down" for i in range(1, n))
-    ]
     checks.append(
-        Check(
+        first_failure(
             "every non-minimal involution has a downward cover",
-            not grading_bad,
-            "" if not grading_bad else f"fails at w={grading_bad[0]}",
+            (
+                f"fails at w={w}"
+                for w in basis.involutions
+                if involutive_length(w) > 0
+                and not any(order_relation(w, i) == "down" for i in range(1, n))
+            ),
         )
     )
-
-    interval_witness = _orbit_interval_witness(n)
     checks.append(
-        Check(
-            "orbit intervals are points, chains or hexagons",
-            interval_witness is None,
-            interval_witness or "",
+        first_failure(
+            "orbit intervals are points, chains or hexagons", _orbit_interval_witnesses(n)
         )
     )
 
     gens = {i: rho_q_generator(i, basis) for i in range(1, n)}
     ident = PolyMatrix.identity(basis.dim)
-
     checks.extend(
         relation_checks(
             gens,
@@ -308,35 +288,24 @@ def verify_hecke_model(n: int) -> Report:
             "quadratic relation (T + q)(T - 1) = 0 per generator",
         )
     )
-
-    q1_bad = [
-        i
-        for i, m in gens.items()
-        if m.specialize(1) != rho_generator_matrix(i, basis).entry_dict()
-    ]
     checks.append(
-        Check(
+        first_failure(
             "q=1 specialization equals the group model generators",
-            not q1_bad,
-            "" if not q1_bad else f"fails at i={q1_bad[0]}",
+            (
+                f"fails at i={i}"
+                for i, m in gens.items()
+                if m.specialize(1) != rho_generator_matrix(i, basis).entry_dict()
+            ),
         )
     )
 
-    trace_bad = None
     mus = list(perm.partitions(n))
-    for mu in mus:
-        lhs = hecke_model_character(mu, basis)
-        rhs = mu_unimodal_character(mu)
-        if lhs != rhs:
-            trace_bad = (mu, lhs, rhs)
-            break
+    traces = ((mu, hecke_model_character(mu, basis), mu_unimodal_character(mu)) for mu in mus)
     checks.append(
-        Check(
+        first_failure(
             "trace equals the signed unimodal-involution sum for every type",
-            trace_bad is None,
-            f"{len(mus)} types checked"
-            if trace_bad is None
-            else f"mu={trace_bad[0]}: trace={trace_bad[1]} sum={trace_bad[2]}",
+            (f"mu={mu}: trace={lhs} sum={rhs}" for mu, lhs, rhs in traces if lhs != rhs),
+            f"{len(mus)} types checked",
         )
     )
 

@@ -10,16 +10,18 @@ formula over the cycle type, which is what ``verify_sn_model`` checks.
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 from typing import Any, Callable, Iterator, Mapping
 
 from . import perm
-from .errors import CapacityError, cap, require
+from .errors import require_suite
 from .perm import Window
-from .report import Check, Report
+from .report import Check, Report, first_failure
 
 ALL_PAIRS_CAP = 5
 SAMPLED_PAIRS = 200
@@ -146,11 +148,7 @@ def rho_matrix(p: Window, basis: ModelBasis) -> SignedPermMatrix:
 
 def rho_character(p: Window, basis: ModelBasis) -> int:
     """Trace of the action: signed count of involutions centralizing p."""
-    total = 0
-    for w in basis.involutions:
-        if perm.conjugate(p, w) == w:
-            total += -1 if inv_w(p, w) % 2 else 1
-    return total
+    return rho_matrix(p, basis).trace()
 
 
 def _pair_partitions(d: int, k: int) -> int:
@@ -254,28 +252,27 @@ def _descent_equivalence_holds(i: int, orbit: frozenset[Window]) -> bool:
 
 def orbit_checks(n: int) -> list[Check]:
     """Orbit sizes are 1, 3 or 6; size-3 orbits satisfy the descent equivalence."""
-    sizes_seen: dict[int, int] = {}
-    bad_size = None
-    bad_equiv = None
-    for i, w, orbit in pair_orbits(n):
-        sizes_seen[len(orbit)] = sizes_seen.get(len(orbit), 0) + 1
-        if len(orbit) not in (1, 3, 6):
-            bad_size = (i, w, len(orbit))
-        elif len(orbit) == 3 and not _descent_equivalence_holds(i, orbit):
-            bad_equiv = (i, w)
-    size_detail = (
-        f"orbit size counts {dict(sorted(sizes_seen.items()))}"
-        if bad_size is None
-        else f"orbit of size {bad_size[2]} at i={bad_size[0]}, w={bad_size[1]}"
-    )
-    equiv_detail = (
-        f"{sizes_seen.get(3, 0)} size-3 orbits checked"
-        if bad_equiv is None
-        else f"fails at i={bad_equiv[0]}, orbit of {bad_equiv[1]}"
-    )
+    orbits = list(pair_orbits(n))
+    sizes = Counter(len(orbit) for _, _, orbit in orbits)
     return [
-        Check("orbit sizes in {1, 3, 6}", bad_size is None, size_detail),
-        Check("descent equivalence in size-3 orbits", bad_equiv is None, equiv_detail),
+        first_failure(
+            "orbit sizes in {1, 3, 6}",
+            (
+                f"orbit of size {len(o)} at i={i}, w={w}"
+                for i, w, o in orbits
+                if len(o) not in (1, 3, 6)
+            ),
+            f"orbit size counts {dict(sorted(sizes.items()))}",
+        ),
+        first_failure(
+            "descent equivalence in size-3 orbits",
+            (
+                f"fails at i={i}, orbit of {w}"
+                for i, w, o in orbits
+                if len(o) == 3 and not _descent_equivalence_holds(i, o)
+            ),
+            f"{sizes[3]} size-3 orbits checked",
+        ),
     ]
 
 
@@ -292,29 +289,23 @@ def relation_checks(
     relation is checked for s_i, s_{i+1} with 1 <= i < max(gens), which
     leaves out the pair s_0, s_1 of type B.
     """
-    squares = [f"i={i}" for i, m in gens.items() if not square_holds(m)]
-    commute = [
-        f"{(i, j)}"
+    squares = (f"fails at i={i}" for i, m in gens.items() if not square_holds(m))
+    commute = (
+        f"fails at {(i, j)}"
         for i in gens
         for j in gens
         if j > i + 1 and gens[i] @ gens[j] != gens[j] @ gens[i]
-    ]
-    braid = [
-        f"i={i}"
+    )
+    braid = (
+        f"fails at i={i}"
         for i in range(1, max(gens))
         if gens[i] @ gens[i + 1] @ gens[i] != gens[i + 1] @ gens[i] @ gens[i + 1]
-    ]
-    named = ((square_name, squares), ("distant generators commute", commute), (braid_name, braid))
-    return tuple(Check(name, not bad, f"fails at {bad[0]}" if bad else "") for name, bad in named)
-
-
-def check_verify_caps(n: int, slow: bool = False) -> None:
-    """Refuse an n that verify_sn_model or its square-root oracle would reject."""
-    name = "verify_sn_slow" if slow else "verify_sn"
-    require(name, n)
-    if n < 2:
-        raise CapacityError(f"verify_sn_model needs 2 <= n <= {cap(name)}, got {n}")
-    require("square_roots", n)
+    )
+    return (
+        first_failure(square_name, squares),
+        first_failure("distant generators commute", commute),
+        first_failure(braid_name, braid),
+    )
 
 
 def verify_sn_model(n: int, *, seed: int = 0, slow: bool = False) -> Report:
@@ -324,57 +315,44 @@ def verify_sn_model(n: int, *, seed: int = 0, slow: bool = False) -> Report:
     The square-root counts on every class come from one shared exhaustive
     sweep of S_n (see ``perm.square_roots_count``).
     """
-    check_verify_caps(n, slow)
+    require_suite("sn", n, slow)
     basis = model_basis(n)
     rng = random.Random(seed)
-    checks: list[Check] = []
     gens = {i: rho_generator_matrix(i, basis) for i in range(1, n)}
     ident = SignedPermMatrix.identity(basis.dim)
-
-    agree = [i for i in gens if gens[i] != rho_matrix(perm.generator(n, i), basis)]
-    checks.append(
-        Check(
+    checks = [
+        first_failure(
             "sign rule and inversion count give the same generator action",
-            not agree,
-            f"generators s_1..s_{n - 1}" if not agree else f"disagree at i={agree[0]}",
-        )
-    )
-
-    checks.extend(
-        relation_checks(gens, lambda m: m @ m == ident, "generator squares are the identity")
-    )
+            (
+                f"disagree at i={i}"
+                for i, m in gens.items()
+                if m != rho_matrix(perm.generator(n, i), basis)
+            ),
+            f"generators s_1..s_{n - 1}",
+        ),
+        *relation_checks(gens, lambda m: m @ m == ident, "generator squares are the identity"),
+    ]
 
     if n <= ALL_PAIRS_CAP:
-        import itertools
-
-        mats = {
-            p: rho_matrix(p, basis)
-            for p in map(tuple, itertools.permutations(range(1, n + 1)))
-        }
-        hom_bad = None
-        for sigma, ms in mats.items():
-            for pi, mp in mats.items():
-                if mats[perm.compose(sigma, pi)] != ms @ mp:
-                    hom_bad = (sigma, pi)
-                    break
-            if hom_bad:
-                break
+        mats = {p: rho_matrix(p, basis) for p in itertools.permutations(range(1, n + 1))}
+        rho = mats.__getitem__
+        pairs = itertools.product(mats, repeat=2)
         hom_detail = f"all {len(mats) ** 2} pairs"
     else:
-        hom_bad = None
-        for _ in range(SAMPLED_PAIRS):
-            sigma = perm.random_window(n, rng)
-            pi = perm.random_window(n, rng)
-            lhs = rho_matrix(perm.compose(sigma, pi), basis)
-            if lhs != rho_matrix(sigma, basis) @ rho_matrix(pi, basis):
-                hom_bad = (sigma, pi)
-                break
+        rho = partial(rho_matrix, basis=basis)
+        pairs = (
+            (perm.random_window(n, rng), perm.random_window(n, rng)) for _ in range(SAMPLED_PAIRS)
+        )
         hom_detail = f"{SAMPLED_PAIRS} seeded random pairs"
     checks.append(
-        Check(
+        first_failure(
             "action is multiplicative",
-            hom_bad is None,
-            hom_detail if hom_bad is None else f"fails at sigma={hom_bad[0]}, pi={hom_bad[1]}",
+            (
+                f"fails at sigma={sigma}, pi={pi}"
+                for sigma, pi in pairs
+                if rho(perm.compose(sigma, pi)) != rho(sigma) @ rho(pi)
+            ),
+            hom_detail,
         )
     )
 
@@ -391,21 +369,20 @@ def verify_sn_model(n: int, *, seed: int = 0, slow: bool = False) -> Report:
 
     checks.extend(orbit_checks(n))
 
-    char_bad = None
-    for ct, rep in perm.conjugacy_class_reps(n):
-        tr = rho_character(rep, basis)
-        brute = perm.square_roots_count(rep)
-        formula = fs_count_formula(perm.multiplicities(ct))
-        if not tr == brute == formula:
-            char_bad = (ct, tr, brute, formula)
-            break
+    formulas = {ct: fs_count_formula(perm.multiplicities(ct)) for ct in perm.partitions(n)}
+    traces = (
+        (ct, rho_character(p, basis), perm.square_roots_count(p))
+        for ct, p in perm.conjugacy_class_reps(n)
+    )
     checks.append(
-        Check(
+        first_failure(
             "trace = square-root count = product formula on every class",
-            char_bad is None,
-            f"{len(list(perm.partitions(n)))} classes checked"
-            if char_bad is None
-            else "class {}: trace={} square_roots={} formula={}".format(*char_bad),
+            (
+                f"class {ct}: trace={tr} square_roots={roots} formula={formulas[ct]}"
+                for ct, tr, roots in traces
+                if not tr == roots == formulas[ct]
+            ),
+            f"{len(formulas)} classes checked",
         )
     )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -10,6 +11,15 @@ class Check:
     name: str
     passed: bool
     detail: str = ""
+
+
+def first_failure(name: str, failures: Iterable[str], passed: str = "") -> Check:
+    """Fail with the first witness in ``failures``, or pass with ``passed``.
+
+    ``failures`` is read lazily, so a search stops at its first witness.
+    """
+    witness = next(iter(failures), None)
+    return Check(name, witness is None, passed if witness is None else witness)
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,15 @@ from __future__ import annotations
 import bisect
 import itertools
 from functools import lru_cache
+from math import factorial
+from typing import Iterator
 
 from . import perm
-from .errors import require
+from .errors import require, require_suite
 from .model_hecke import mu_descent_number
 from .perm import Partition, Window
 from .qpoly import ZERO, QPoly, minus_q_power
-from .report import Check, Report
+from .report import Check, Report, first_failure
 
 Tableau = tuple[tuple[int, ...], ...]
 
@@ -216,12 +218,6 @@ def character_dimension(lam: Partition) -> int:
     return len(enumerate_syt(lam))
 
 
-def check_verify_caps(n: int) -> None:
-    """Refuse an n beyond verify_rsk's cap or the fixed-point report it runs at every n."""
-    require("verify_rsk", n)
-    require("fixedpoint_report", n)
-
-
 def involution_fixedpoint_vs_oddcolumns(n: int) -> Report:
     """Involutions with f fixed points are counted by tableaux with f odd columns."""
     require("fixedpoint_report", n)
@@ -248,6 +244,27 @@ def involution_fixedpoint_vs_oddcolumns(n: int) -> Report:
     return Report("fixedpoints-vs-oddcolumns", n, tuple(checks))
 
 
+def _insertion_witnesses(n: int) -> Iterator[str]:
+    """A witness for every permutation of S_n on which row insertion fails:
+    malformed or repeated output, inverse symmetry, the involution criterion
+    or descent compatibility.
+    """
+    seen: dict[tuple[Tableau, Tableau], Window] = {}
+    for w in itertools.permutations(range(1, n + 1)):
+        p, q = rs_insert(w)
+        if shape(p) != shape(q) or not is_standard(p) or not is_standard(q):
+            yield f"malformed output at w={w}"
+        elif (p, q) in seen:
+            yield f"collision between w={seen[(p, q)]} and w={w}"
+        elif rs_insert(perm.inverse(w)) != (q, p):
+            yield f"inverse symmetry fails at w={w}"
+        elif perm.is_involution(w) != (p == q):
+            yield f"involution criterion fails at w={w}"
+        elif perm.descent_set(w) != tableau_descent_set(q):
+            yield f"descent compatibility fails at w={w}"
+        seen.setdefault((p, q), w)
+
+
 def verify_rsk(n: int) -> Report:
     """Insertion properties, the tableau-count identities, and the character
     cross-checks, each only at the n where its sweep stays cheap.
@@ -257,36 +274,15 @@ def verify_rsk(n: int) -> Report:
     only the last two run.  The report does not yet mark the others as
     skipped.
     """
-    check_verify_caps(n)
+    require_suite("rsk", n)
     checks: list[Check] = []
 
     if n <= 6:
-        seen: dict[tuple[Tableau, Tableau], Window] = {}
-        bad: str | None = None
-        for w in itertools.permutations(range(1, n + 1)):
-            p, q = rs_insert(w)
-            if shape(p) != shape(q) or not is_standard(p) or not is_standard(q):
-                bad = f"malformed output at w={w}"
-                break
-            if (p, q) in seen:
-                bad = f"collision between w={seen[(p, q)]} and w={w}"
-                break
-            seen[(p, q)] = w
-            pi, qi = rs_insert(perm.inverse(w))
-            if (pi, qi) != (q, p):
-                bad = f"inverse symmetry fails at w={w}"
-                break
-            if (perm.is_involution(w)) != (p == q):
-                bad = f"involution criterion fails at w={w}"
-                break
-            if perm.descent_set(w) != tableau_descent_set(q):
-                bad = f"descent compatibility fails at w={w}"
-                break
         checks.append(
-            Check(
+            first_failure(
                 "insertion is injective with symmetric, descent-compatible output",
-                bad is None,
-                f"all {len(seen)} permutations" if bad is None else bad,
+                _insertion_witnesses(n),
+                f"all {factorial(n)} permutations",
             )
         )
 
@@ -316,72 +312,45 @@ def verify_rsk(n: int) -> Report:
 
         basis = model_basis(n)
         lams = list(perm.partitions(n))
-        bad = None
-        for mu in lams:
-            total = ZERO
-            for lam in lams:
-                total = total + irreducible_hecke_character(lam, mu)
-            if total != hecke_model_character(mu, basis):
-                bad = f"mu={mu}"
-                break
-        checks.append(
-            Check(
+        tableaux = {lam: enumerate_syt(lam) for lam in lams}
+        chi = irreducible_hecke_character
+        checks += [
+            first_failure(
                 "irreducible characters sum to the model trace",
-                bad is None,
-                bad or f"{len(lams)} types checked",
-            )
-        )
-
-        bad = None
-        for lam in lams:
-            tabs = enumerate_syt(lam)
-            for mu in lams:
-                vals = {
-                    irreducible_hecke_character(lam, mu, t) for t in tabs
-                }
-                if len(vals) != 1:
-                    bad = f"lam={lam}, mu={mu}"
-                    break
-            if bad:
-                break
-        checks.append(
-            Check(
+                (
+                    f"mu={mu}"
+                    for mu in lams
+                    if sum((chi(lam, mu) for lam in lams), ZERO)
+                    != hecke_model_character(mu, basis)
+                ),
+                f"{len(lams)} types checked",
+            ),
+            first_failure(
                 "character value independent of the chosen tableau",
-                bad is None,
-                bad or "",
-            )
-        )
-
-        bad = None
-        for lam in lams:
-            for mu in lams:
-                if irreducible_hecke_character(lam, mu).evaluate(1) != mn_character(
-                    lam, mu
-                ):
-                    bad = f"lam={lam}, mu={mu}"
-                    break
-            if bad:
-                break
-        checks.append(
-            Check(
+                (
+                    f"lam={lam}, mu={mu}"
+                    for lam in lams
+                    for mu in lams
+                    if len({chi(lam, mu, t) for t in tableaux[lam]}) != 1
+                ),
+            ),
+            first_failure(
                 "q=1 values match the border-strip recursion",
-                bad is None,
-                bad or "",
-            )
-        )
-
-        bad = None
-        for mu, rep in perm.conjugacy_class_reps(n):
-            total = sum(mn_character(lam, mu) for lam in lams)
-            if total != perm.square_roots_count(rep):
-                bad = f"mu={mu}"
-                break
-        checks.append(
-            Check(
+                (
+                    f"lam={lam}, mu={mu}"
+                    for lam in lams
+                    for mu in lams
+                    if chi(lam, mu).evaluate(1) != mn_character(lam, mu)
+                ),
+            ),
+            first_failure(
                 "summed irreducible characters count square roots",
-                bad is None,
-                bad or "",
-            )
-        )
+                (
+                    f"mu={mu}"
+                    for mu, rep in perm.conjugacy_class_reps(n)
+                    if sum(mn_character(lam, mu) for lam in lams) != perm.square_roots_count(rep)
+                ),
+            ),
+        ]
 
     return Report("rsk", n, tuple(checks))

@@ -14,9 +14,9 @@ from functools import lru_cache
 from typing import Iterator, Mapping
 
 from . import perm
-from .errors import CapacityError, cap, require
+from .errors import require, require_suite
 from .model_sn import ModelBasis, SignedPermMatrix, relation_checks, signed_conjugation
-from .report import Check, Report
+from .report import Check, Report, first_failure
 
 SignedWindow = tuple[int, ...]
 
@@ -171,15 +171,6 @@ def pairs_of_partitions_count(n: int) -> int:
     return sum(p[k] * p[n - k] for k in range(n + 1))
 
 
-def check_verify_caps(n: int, slow: bool = False) -> None:
-    """Refuse an n that verify_b_model or its square-root oracle would reject."""
-    name = "verify_typeb_slow" if slow else "verify_typeb"
-    require(name, n)
-    if n < 1:
-        raise CapacityError(f"verify_b_model needs 1 <= n <= {cap(name)}, got {n}")
-    require("b_square_roots", n)
-
-
 def verify_b_model(n: int, *, slow: bool = False) -> Report:
     """Check the type-B relations and the square-root trace identity.
 
@@ -187,7 +178,7 @@ def verify_b_model(n: int, *, slow: bool = False) -> Report:
     The square-root counts come from one shared exhaustive sweep of B_n and
     the class representatives from one orbit search over B_n.
     """
-    check_verify_caps(n, slow)
+    require_suite("typeb", n, slow)
     basis = b_model_basis(n)
     checks: list[Check] = []
     gens = {i: rho_b_generator(i, basis) for i in range(n)}
@@ -210,20 +201,14 @@ def verify_b_model(n: int, *, slow: bool = False) -> Report:
         if n <= 3
         else list(b_conjugacy_class_reps(n))
     )
-    fs_bad = None
-    for g in elements:
-        tr = rho_b_of_element(g, basis, gens).trace()
-        roots = b_square_roots_count(g)
-        if tr != roots:
-            fs_bad = (g, tr, roots)
-            break
+    traces = (
+        (g, rho_b_of_element(g, basis, gens).trace(), b_square_roots_count(g)) for g in elements
+    )
     checks.append(
-        Check(
+        first_failure(
             "trace counts square roots",
-            fs_bad is None,
-            f"{len(elements)} {'elements' if n <= 3 else 'class representatives'}"
-            if fs_bad is None
-            else f"g={fs_bad[0]}: trace={fs_bad[1]} roots={fs_bad[2]}",
+            (f"g={g}: trace={tr} roots={roots}" for g, tr, roots in traces if tr != roots),
+            f"{len(elements)} {'elements' if n <= 3 else 'class representatives'}",
         )
     )
 

@@ -1,7 +1,7 @@
 import pytest
 
-from gelfand import typeb
-from gelfand.errors import CAPS, CapacityError, cap, require
+from gelfand import model_hecke, model_sn, rsk, typeb
+from gelfand.errors import CAPS, SUITES, CapacityError, cap, require
 
 ORACLE_CAPS = {"square_roots": 9, "b_square_roots": 5, "length_oracle": 8, "fixedpoint_report": 8}
 
@@ -37,3 +37,25 @@ def test_library_refusals_use_the_table_text(monkeypatch):
 def test_library_honours_gelfand_cap(monkeypatch):
     monkeypatch.setenv("GELFAND_CAP", "5")
     assert typeb.verify_b_model(5).passed
+
+
+@pytest.mark.parametrize(
+    "verify, n, message",
+    [
+        (model_sn.verify_sn_model, 1, "verify_sn_model needs 2 <= n <= 7, got 1"),
+        (model_hecke.verify_hecke_model, 1, "verify_hecke_model needs 2 <= n <= 6, got 1"),
+        (rsk.verify_rsk, 0, "verify_rsk needs 1 <= n <= 8, got 0"),
+        (typeb.verify_b_model, 0, "verify_b_model needs 1 <= n <= 4, got 0"),
+    ],
+)
+def test_library_refuses_an_n_below_each_suite(monkeypatch, verify, n, message):
+    monkeypatch.delenv("GELFAND_CAP", raising=False)
+    with pytest.raises(CapacityError) as exc:
+        verify(n)
+    assert str(exc.value) == message
+
+
+def test_suite_rows_name_table_caps():
+    for scope, suite in SUITES.items():
+        assert {suite.cap, suite.slow_cap, suite.oracle} <= set(CAPS), scope
+        assert suite.smallest <= suite.sweep_from <= CAPS[suite.cap][0] <= CAPS[suite.slow_cap][0]

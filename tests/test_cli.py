@@ -150,6 +150,15 @@ def test_characters_hecke_lambda(capsys):
     assert by_mu[(1, 1, 1)]["classical_oracle"] == 2
 
 
+def test_characters_lambda_builds_no_model_basis(capsys):
+    from gelfand import model_sn
+
+    model_sn.model_basis.cache_clear()
+    code, _, _ = run(capsys, "characters", "--kind", "hecke", "--n", "4", "--lambda", "3,1")
+    assert code == 0
+    assert model_sn.model_basis.cache_info().misses == 0
+
+
 def test_characters_sn_refuses_lambda(capsys):
     code, out, err = run(capsys, "characters", "--kind", "sn", "--n", "3", "--lambda", "2,1")
     assert (code, out, err) == (2, "", "error: --lambda needs --kind hecke\n")
