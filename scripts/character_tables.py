@@ -1,33 +1,27 @@
 #!/usr/bin/env python3
-"""Print the model character tables, group and Hecke side by side.
+"""Print the model character tables of S_n and its Hecke algebra, n = 2..--max-n.
 
-For each class the group column shows the trace of the involution action,
-which equals the square-root count; the Hecke column shows the trace of the
-deformed action at the subproduct element of that type.
+Each n gets a header line and then the tables of ``gelfand characters`` with
+``--kind sn`` and ``--kind hecke``.  Exits nonzero if any row mismatches.
 """
 
 import argparse
 
-from gelfand import model_hecke, model_sn, perm
+from gelfand import cli, model_sn
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=5)
     args = parser.parse_args()
+    worst = 0
     for n in range(2, args.max_n + 1):
-        basis = model_sn.model_basis(n)
-        print(f"n={n} (dimension {basis.dim})")
-        width = max(len(",".join(map(str, mu))) for mu in perm.partitions(n))
-        for ct, rep in perm.conjugacy_class_reps(n):
-            group_value = model_sn.rho_character(rep, basis)
-            hecke_value = model_hecke.hecke_model_character(ct, basis)
-            print(
-                f"  {','.join(map(str, ct)):{width}s}  "
-                f"group {group_value:4d}   hecke {hecke_value}"
-            )
+        print(f"n={n} (dimension {model_sn.model_basis(n).dim})")
+        for kind in ("sn", "hecke"):
+            worst = max(worst, cli.main(["characters", "--kind", kind, "--n", str(n)]))
         print()
+    return worst
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

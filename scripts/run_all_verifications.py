@@ -2,7 +2,7 @@
 """Sweep every verification scope over its full desk-scale range.
 
 Prints one line per report (--verbose for every check) and exits nonzero if
-anything fails.  --slow adds the n=8 class sweep and the B_5 sweep.
+anything fails.
 """
 
 import argparse
@@ -13,16 +13,15 @@ from gelfand.errors import CAPS, SUITES
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--slow", action="store_true", help="include n=8 and B_5")
     parser.add_argument("--verbose", action="store_true", help="print every check")
     args = parser.parse_args()
 
-    # Each suite from its first sweep size to its cap as written in the table,
-    # so GELFAND_CAP does not widen the sweep.
+    # Each suite from its smallest n to its cap as written in the table, so
+    # GELFAND_CAP does not widen the sweep.
     reports = [
-        run_suite(scope, n, slow=args.slow)
+        run_suite(scope, n)
         for scope, suite in SUITES.items()
-        for n in range(suite.sweep_from, CAPS[suite.cap_name(args.slow)][0] + 1)
+        for n in range(suite.smallest, CAPS[suite.cap][0] + 1)
     ]
 
     failed = 0

@@ -36,7 +36,6 @@ class RunConfig:
     generator: int | None = None
     element: tuple[int, ...] | None = None
     seed: int = 0
-    slow: bool = False
 
 
 def _parse_partition(text: str, n: int, flag: str) -> Partition:
@@ -94,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ("text", "json"), "text")
     p.add_argument("--scope", choices=(*SUITES, "all"), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--slow", action="store_true", help="raise the slow-sweep caps")
+    p.add_argument("--slow", action="store_true", help="no effect; each suite has one cap")
 
     p = sub.add_parser("characters", help="character table with independent cross-checks")
     common(p, ("text", "json", "csv"), "text")
@@ -125,7 +124,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         generator=getattr(args, "generator", None),
         element=element,
         seed=getattr(args, "seed", 0),
-        slow=getattr(args, "slow", False),
     )
 
 
@@ -220,15 +218,13 @@ def cmd_matrix(cfg: RunConfig) -> int:
     return 0
 
 
-def run_suite(scope: str, n: int, seed: int = 0, slow: bool = False) -> Report:
-    """Run the verify suite ``scope`` of ``errors.SUITES`` at n."""
-    if scope == "sn":
-        return model_sn.verify_sn_model(n, seed=seed, slow=slow)
-    if scope == "hecke":
-        return model_hecke.verify_hecke_model(n)
-    if scope == "rsk":
-        return rsk.verify_rsk(n)
-    return typeb.verify_b_model(n, slow=slow)
+_SUITE_MODULES = {"sn": model_sn, "hecke": model_hecke, "rsk": rsk, "typeb": typeb}
+
+
+def run_suite(scope: str, n: int, seed: int = 0) -> Report:
+    """Run the verify suite ``scope`` of ``errors.SUITES`` at n; only sn takes the seed."""
+    verify = getattr(_SUITE_MODULES[scope], SUITES[scope].function)
+    return verify(n, seed=seed) if scope == "sn" else verify(n)
 
 
 def _verify_reports(cfg: RunConfig) -> list[Report]:
@@ -241,9 +237,9 @@ def _verify_reports(cfg: RunConfig) -> list[Report]:
     scopes = tuple(SUITES) if cfg.scope == "all" else (cfg.scope,)
     size = {}
     for s in scopes:
-        size[s] = cfg.n if s == cfg.scope else min(cfg.n, cap(SUITES[s].cap_name(cfg.slow)))
-        require_suite(s, size[s], cfg.slow)
-    return [run_suite(s, size[s], cfg.seed, cfg.slow) for s in scopes]
+        size[s] = cfg.n if s == cfg.scope else min(cfg.n, cap(SUITES[s].cap))
+        require_suite(s, size[s])
+    return [run_suite(s, size[s], cfg.seed) for s in scopes]
 
 
 def cmd_verify(cfg: RunConfig) -> int:

@@ -24,11 +24,9 @@ CAPS: dict[str, tuple[int, str]] = {
     "matrix_hecke": (8, "hecke matrices" + _RUNTIME),
     "matrix_typeb": (5, "typeb matrices" + _RUNTIME),
     "poset": (8, "poset export" + _RUNTIME),
-    "verify_sn": (7, "sn verification" + _RUNTIME),
-    "verify_sn_slow": (8, "sn verification" + _RUNTIME),
+    "verify_sn": (8, "sn verification" + _RUNTIME),
     "verify_hecke": (6, "hecke verification" + _RUNTIME),
-    "verify_typeb": (4, "typeb verification" + _RUNTIME),
-    "verify_typeb_slow": (5, "typeb verification" + _RUNTIME),
+    "verify_typeb": (5, "typeb verification" + _RUNTIME),
     "verify_rsk": (8, "rsk verification" + _RUNTIME),
     "characters_sn": (7, "sn character table" + _RUNTIME),
     "characters_hecke": (6, "hecke character table" + _RUNTIME),
@@ -62,34 +60,26 @@ def require(name: str, n: int) -> None:
 class Suite(NamedTuple):
     """The guard of one verify suite: its sizes and the oracle it runs."""
 
-    function: str  # named in the refusal of an n below ``smallest``
+    function: str  # the verify function: ``cli.run_suite`` calls it, refusals name it
     smallest: int
     cap: str
-    slow_cap: str  # the cap under --slow
     oracle: str
-    sweep_from: int  # first n of the full sweep in scripts/run_all_verifications.py
-
-    def cap_name(self, slow: bool) -> str:
-        return self.slow_cap if slow else self.cap
 
 
 # The verify suites in the order ``verify --scope all`` runs them.
 SUITES: dict[str, Suite] = {
-    "sn": Suite("verify_sn_model", 2, "verify_sn", "verify_sn_slow", "square_roots", 2),
-    "hecke": Suite("verify_hecke_model", 2, "verify_hecke", "verify_hecke", "length_oracle", 2),
-    "rsk": Suite("verify_rsk", 1, "verify_rsk", "verify_rsk", "fixedpoint_report", 2),
-    "typeb": Suite(
-        "verify_b_model", 1, "verify_typeb", "verify_typeb_slow", "b_square_roots", 1
-    ),
+    "sn": Suite("verify_sn_model", 2, "verify_sn", "square_roots"),
+    "hecke": Suite("verify_hecke_model", 2, "verify_hecke", "length_oracle"),
+    "rsk": Suite("verify_rsk", 1, "verify_rsk", "fixedpoint_report"),
+    "typeb": Suite("verify_b_model", 1, "verify_typeb", "b_square_roots"),
 }
 
 
-def require_suite(scope: str, n: int, slow: bool = False) -> None:
+def require_suite(scope: str, n: int) -> None:
     """Refuse an n that the verify suite ``scope`` or its oracle would reject."""
     suite = SUITES[scope]
-    name = suite.cap_name(slow)
-    require(name, n)
+    require(suite.cap, n)
     if n < suite.smallest:
-        largest = cap(name)
+        largest = cap(suite.cap)
         raise CapacityError(f"{suite.function} needs {suite.smallest} <= n <= {largest}, got {n}")
     require(suite.oracle, n)

@@ -308,14 +308,14 @@ def relation_checks(
     )
 
 
-def verify_sn_model(n: int, *, seed: int = 0, slow: bool = False) -> Report:
+def verify_sn_model(n: int, *, seed: int = 0) -> Report:
     """Check the defining relations, homomorphy and the character identities.
 
-    ``slow`` raises the size cap from ``verify_sn`` to ``verify_sn_slow``.
-    The square-root counts on every class come from one shared exhaustive
-    sweep of S_n (see ``perm.square_roots_count``).
+    ``seed`` drives the sampled homomorphy pairs.  The square-root counts on
+    every class come from one shared exhaustive sweep of S_n (see
+    ``perm.square_roots_count``).
     """
-    require_suite("sn", n, slow)
+    require_suite("sn", n)
     basis = model_basis(n)
     rng = random.Random(seed)
     gens = {i: rho_generator_matrix(i, basis) for i in range(1, n)}

@@ -84,10 +84,6 @@ def descent_set(p: Window) -> set[int]:
     return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
 
 
-def descent_number(p: Window) -> int:
-    return len(descent_set(p))
-
-
 def support(p: Window) -> set[int]:
     """Positions moved by p."""
     return {i for i in range(1, len(p) + 1) if p[i - 1] != i}

@@ -80,12 +80,6 @@ class QPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "QPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "QPoly":
         other = _coerce(other)
         if other is NotImplemented:
@@ -97,14 +91,6 @@ class QPoly:
         )
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "QPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = ONE
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __str__(self) -> str:
         if not self._terms:

@@ -214,10 +214,6 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     return total
 
 
-def character_dimension(lam: Partition) -> int:
-    return len(enumerate_syt(lam))
-
-
 def involution_fixedpoint_vs_oddcolumns(n: int) -> Report:
     """Involutions with f fixed points are counted by tableaux with f odd columns."""
     require("fixedpoint_report", n)

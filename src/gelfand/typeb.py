@@ -38,16 +38,6 @@ def b_compose(u: SignedWindow, v: SignedWindow) -> SignedWindow:
     return tuple(u[x - 1] if x > 0 else -u[-x - 1] for x in v)
 
 
-def b_inverse(w: SignedWindow) -> SignedWindow:
-    inv = [0] * len(w)
-    for i, x in enumerate(w):
-        if x > 0:
-            inv[x - 1] = i + 1
-        else:
-            inv[-x - 1] = -(i + 1)
-    return tuple(inv)
-
-
 def b_generator(n: int, i: int) -> SignedWindow:
     """s_0 negates position 1; s_i (i >= 1) swaps positions i and i+1."""
     if not 0 <= i <= n - 1:
@@ -91,19 +81,6 @@ def b_involutions(n: int) -> tuple[SignedWindow, ...]:
 def b_model_basis(n: int) -> ModelBasis:
     invs = b_involutions(n)
     return ModelBasis(n=n, involutions=invs, index={w: i for i, w in enumerate(invs)})
-
-
-def b_descent_set(w: SignedWindow) -> set[int]:
-    """0 when the first value is negative, plus the window descents."""
-    out = {i for i in range(1, len(w)) if w[i - 1] > w[i]}
-    if w[0] < 0:
-        out.add(0)
-    return out
-
-
-def b_bfs_word_lengths(n: int) -> dict[SignedWindow, int]:
-    """Minimal generator word length per element, by BFS on the Cayley graph."""
-    return {w: len(word) for w, word in b_shortest_words(n).items()}
 
 
 @lru_cache(maxsize=None)
@@ -171,14 +148,13 @@ def pairs_of_partitions_count(n: int) -> int:
     return sum(p[k] * p[n - k] for k in range(n + 1))
 
 
-def verify_b_model(n: int, *, slow: bool = False) -> Report:
+def verify_b_model(n: int) -> Report:
     """Check the type-B relations and the square-root trace identity.
 
-    ``slow`` raises the size cap from ``verify_typeb`` to ``verify_typeb_slow``.
     The square-root counts come from one shared exhaustive sweep of B_n and
     the class representatives from one orbit search over B_n.
     """
-    require_suite("typeb", n, slow)
+    require_suite("typeb", n)
     basis = b_model_basis(n)
     checks: list[Check] = []
     gens = {i: rho_b_generator(i, basis) for i in range(n)}

@@ -27,25 +27,26 @@ def test_bad_gelfand_cap_is_refused_where_it_applies(monkeypatch):
 def test_library_refusals_use_the_table_text(monkeypatch):
     monkeypatch.delenv("GELFAND_CAP", raising=False)
     with pytest.raises(CapacityError) as exc:
-        typeb.verify_b_model(5)
-    assert str(exc.value) == "typeb verification is capped at n=4 (got n=5); set GELFAND_CAP to raise"
+        typeb.verify_b_model(6)
+    assert str(exc.value) == "typeb verification is capped at n=5 (got n=6); set GELFAND_CAP to raise"
     with pytest.raises(CapacityError) as exc:
         require("fixedpoint_report", 9)
     assert str(exc.value) == "report capped at n=8, got 9"
 
 
 def test_library_honours_gelfand_cap(monkeypatch):
-    monkeypatch.setenv("GELFAND_CAP", "5")
-    assert typeb.verify_b_model(5).passed
+    # hecke's table cap (6) is below its oracle cap (8), so the raise shows
+    monkeypatch.setenv("GELFAND_CAP", "7")
+    assert model_hecke.verify_hecke_model(7).passed
 
 
 @pytest.mark.parametrize(
     "verify, n, message",
     [
-        (model_sn.verify_sn_model, 1, "verify_sn_model needs 2 <= n <= 7, got 1"),
+        (model_sn.verify_sn_model, 1, "verify_sn_model needs 2 <= n <= 8, got 1"),
         (model_hecke.verify_hecke_model, 1, "verify_hecke_model needs 2 <= n <= 6, got 1"),
         (rsk.verify_rsk, 0, "verify_rsk needs 1 <= n <= 8, got 0"),
-        (typeb.verify_b_model, 0, "verify_b_model needs 1 <= n <= 4, got 0"),
+        (typeb.verify_b_model, 0, "verify_b_model needs 1 <= n <= 5, got 0"),
     ],
 )
 def test_library_refuses_an_n_below_each_suite(monkeypatch, verify, n, message):
@@ -57,5 +58,5 @@ def test_library_refuses_an_n_below_each_suite(monkeypatch, verify, n, message):
 
 def test_suite_rows_name_table_caps():
     for scope, suite in SUITES.items():
-        assert {suite.cap, suite.slow_cap, suite.oracle} <= set(CAPS), scope
-        assert suite.smallest <= suite.sweep_from <= CAPS[suite.cap][0] <= CAPS[suite.slow_cap][0]
+        assert {suite.cap, suite.oracle} <= set(CAPS), scope
+        assert suite.smallest <= CAPS[suite.cap][0] <= CAPS[suite.oracle][0], scope

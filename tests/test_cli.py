@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -245,6 +246,23 @@ def test_seed_and_slow_belong_to_verify_only(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["involutions", "--n", "2", *flag])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "args, reference",
+    [
+        (("--scope", "sn", "--n", "8"), "verify --scope sn --n 8 --slow --seed 0"),
+        (("--scope", "typeb", "--n", "5"), "verify --scope typeb --n 5 --slow"),
+    ],
+)
+@pytest.mark.parametrize("slow", [(), ("--slow",)], ids=["plain", "slow"])
+def test_slow_flag_is_a_no_op(capsys, monkeypatch, args, reference, slow):
+    # Without GELFAND_CAP both run at their one cap, and match with or
+    # without --slow the stdout that perfbench pins for its --slow argv.
+    monkeypatch.delenv("GELFAND_CAP", raising=False)
+    pinned = json.loads((ROOT / "perfbench" / "reference.json").read_text())[reference]
+    code, out, err = run(capsys, "verify", *args, *slow)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, pinned["sha256"], "")
 
 
 def test_over_cap_is_usage_error(capsys):

@@ -206,6 +206,6 @@ def test_verify_sn_model_passes(n):
 
 def test_verify_sn_cap():
     with pytest.raises(CapacityError):
-        verify_sn_model(8)
+        verify_sn_model(9)
     with pytest.raises(CapacityError):
         verify_sn_model(1)

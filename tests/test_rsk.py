@@ -7,7 +7,6 @@ from gelfand import perm
 from gelfand.model_hecke import mu_descent_number
 from gelfand.qpoly import QPoly, ZERO, minus_q_power
 from gelfand.rsk import (
-    character_dimension,
     conjugate_partition,
     enumerate_syt,
     involution_fixedpoint_vs_oddcolumns,
@@ -218,7 +217,7 @@ def test_mn_character_examples():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_mn_regular_representation(n):
     total = sum(
-        mn_character(lam, (1,) * n) * character_dimension(lam)
+        mn_character(lam, (1,) * n) * len(enumerate_syt(lam))
         for lam in perm.partitions(n)
     )
     assert total == math.factorial(n)
