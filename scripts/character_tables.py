@@ -24,4 +24,9 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    import signal
+
+    # As in ``cli.entry``: a reader that stops early ends the script quietly.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())

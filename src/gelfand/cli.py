@@ -293,8 +293,9 @@ def _hecke_character_rows(cfg: RunConfig) -> list[dict]:
             )
         return records
     basis = model_sn.model_basis(cfg.n)
+    gens = {i: model_hecke.rho_q_generator(i, basis) for i in range(1, cfg.n)}
     for mu in mus:
-        tr = model_hecke.hecke_model_character(mu, basis)
+        tr = model_hecke.hecke_model_character(mu, basis, gens)
         um = model_hecke.mu_unimodal_character(mu)
         records.append(
             {

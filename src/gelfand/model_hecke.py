@@ -103,13 +103,11 @@ def involutive_order(n: int) -> InvolutiveOrderData:
     return InvolutiveOrderData(n, lengths, tuple(edges))
 
 
-def order_relation(w: Window, i: int) -> CaseTag:
-    """Which of the four action cases applies to (s_i, w)."""
-    s = perm.generator(len(w), i)
-    v = perm.compose(s, perm.compose(w, s))
+def _case(w: Window, v: Window, i: int, lengths: Mapping[Window, int]) -> CaseTag:
+    """The action case of s_i on w, given the conjugate v = s_i w s_i and the grading."""
     if v == w:
-        return "fixed_descent" if i in perm.descent_set(w) else "fixed_nondescent"
-    delta = involutive_length(v) - involutive_length(w)
+        return "fixed_descent" if w[i - 1] > w[i] else "fixed_nondescent"
+    delta = lengths[v] - lengths[w]
     if delta == 1:
         return "up"
     if delta == -1:
@@ -119,29 +117,41 @@ def order_relation(w: Window, i: int) -> CaseTag:
     )
 
 
+def order_relation(w: Window, i: int) -> CaseTag:
+    """Which of the four action cases applies to (s_i, w)."""
+    n = len(w)
+    s = perm.generator(n, i)
+    return _case(w, perm.compose(s, perm.compose(w, s)), i, involutive_order(n).lengths)
+
+
 def rho_q_generator(i: int, basis: ModelBasis) -> PolyMatrix:
     """Matrix of T_i: at most two nonzero entries per column."""
-    n = basis.n
-    s = perm.generator(n, i)
+    s = perm.generator(basis.n, i)
+    lengths = involutive_order(basis.n).lengths
     entries: dict[tuple[int, int], QPoly] = {}
     for c, w in enumerate(basis.involutions):
-        tag = order_relation(w, i)
+        v = perm.compose(s, perm.compose(w, s))
+        tag = _case(w, v, i, lengths)
         if tag == "fixed_descent":
             entries[(c, c)] = -Q
         elif tag == "fixed_nondescent":
             entries[(c, c)] = ONE
+        elif tag == "up":
+            entries[(c, c)] = ONE - Q
+            entries[(basis.index[v], c)] = Q
         else:
-            r = basis.index[perm.compose(s, perm.compose(w, s))]
-            if tag == "up":
-                entries[(c, c)] = ONE - Q
-                entries[(r, c)] = Q
-            else:
-                entries[(r, c)] = ONE
+            entries[(basis.index[v], c)] = ONE
     return PolyMatrix(basis.dim, entries)
 
 
 def rho_q_of_word(word: list[int] | tuple[int, ...], basis: ModelBasis) -> PolyMatrix:
-    """Ordered product of generator matrices; the empty word is the identity."""
+    """Ordered product of generator matrices; the empty word is the identity.
+
+    Every letter builds its generator afresh and every step is a full sparse
+    product, so this is the reference path: ``matrix --kind hecke --mu``
+    prints its result, and the tests check ``hecke_model_character`` against
+    its trace.  ``rho_q_trace`` gives the trace alone by column action.
+    """
     out = PolyMatrix.identity(basis.dim)
     for i in word:
         out = out @ rho_q_generator(i, basis)
@@ -168,9 +178,45 @@ def mu_descent_number(w: Window, mu: Partition) -> int:
     return len(perm.descent_set(w).intersection(t_mu_word(mu)))
 
 
-def hecke_model_character(mu: Partition, basis: ModelBasis) -> QPoly:
-    """Trace of the model at the subproduct element of type mu."""
-    return rho_q_of_word(t_mu_word(mu), basis).trace()
+def rho_q_trace(
+    word: list[int] | tuple[int, ...], basis: ModelBasis, gens: Mapping[int, PolyMatrix]
+) -> QPoly:
+    """Trace of the word's product of ``gens`` matrices, by column action.
+
+    ``gens`` maps each generator index to its matrix, built once by the
+    caller.  For each basis vector e_c the word's generator columns act on
+    e_c from right to left, on a vector stored as (index, q-degree) -> int;
+    the coefficient of e_c is read off and summed over c.  No product matrix
+    is formed, and each step touches only the nonzeros of the columns it
+    reaches (at most two per column for the model's T_i).
+    """
+    cols: dict[int, dict[int, list]] = {}
+    for i in set(word):
+        col = cols[i] = {}
+        for (r, c), f in gens[i].entries.items():
+            col.setdefault(c, []).append((r, tuple(f.coeffs.items())))
+    total: dict[int, int] = {}
+    for c in range(basis.dim):
+        vec = {(c, 0): 1}
+        for i in reversed(word):
+            col = cols[i]
+            out: dict[tuple[int, int], int] = {}
+            for (k, d), a in vec.items():
+                for r, terms in col.get(k, ()):
+                    for e, b in terms:
+                        out[(r, d + e)] = out.get((r, d + e), 0) + a * b
+            vec = out
+        for (r, d), a in vec.items():
+            if r == c:
+                total[d] = total.get(d, 0) + a
+    return QPoly(total)
+
+
+def hecke_model_character(
+    mu: Partition, basis: ModelBasis, gens: Mapping[int, PolyMatrix]
+) -> QPoly:
+    """Trace of the model at the subproduct element T_{w_mu}, from prebuilt ``gens``."""
+    return rho_q_trace(t_mu_word(mu), basis, gens)
 
 
 def mu_unimodal_character(mu: Partition) -> QPoly:
@@ -233,6 +279,7 @@ def verify_hecke_model(n: int) -> Report:
     """Check the defining relations, the grading, and the trace identity."""
     require_suite("hecke", n)
     basis = model_basis(n)
+    lengths = involutive_order(n).lengths
     checks = [
         first_failure(
             "involutive length formula matches the BFS oracle",
@@ -268,7 +315,7 @@ def verify_hecke_model(n: int) -> Report:
             (
                 f"fails at w={w}"
                 for w in basis.involutions
-                if involutive_length(w) > 0
+                if lengths[w] > 0
                 and not any(order_relation(w, i) == "down" for i in range(1, n))
             ),
         )
@@ -300,7 +347,9 @@ def verify_hecke_model(n: int) -> Report:
     )
 
     mus = list(perm.partitions(n))
-    traces = ((mu, hecke_model_character(mu, basis), mu_unimodal_character(mu)) for mu in mus)
+    traces = (
+        (mu, hecke_model_character(mu, basis, gens), mu_unimodal_character(mu)) for mu in mus
+    )
     checks.append(
         first_failure(
             "trace equals the signed unimodal-involution sum for every type",

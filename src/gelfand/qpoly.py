@@ -17,14 +17,16 @@ class QPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, int] = {}
-        for deg, c in items:
-            if deg < 0:
-                raise ValueError("negative degree")
-            acc[deg] = acc.get(deg, 0) + c
-        self._terms = tuple(sorted((d, c) for d, c in acc.items() if c != 0))
+    def __init__(self, coeffs: dict[int, int] | Iterable[tuple[int, int]] = ()):
+        if not isinstance(coeffs, dict):
+            acc: dict[int, int] = {}
+            for deg, c in coeffs:
+                acc[deg] = acc.get(deg, 0) + c
+            coeffs = acc
+        terms = sorted(coeffs.items())
+        if terms and terms[0][0] < 0:
+            raise ValueError("negative degree")
+        self._terms = tuple(t for t in terms if t[1])
 
     @classmethod
     def constant(cls, c: int) -> "QPoly":
@@ -67,12 +69,15 @@ class QPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QPoly(tuple(self._terms) + tuple(other._terms))
+        acc = dict(self._terms)
+        for d, c in other._terms:
+            acc[d] = acc.get(d, 0) + c
+        return QPoly(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly((d, -c) for d, c in self._terms)
+        return QPoly({d: -c for d, c in self._terms})
 
     def __sub__(self, other) -> "QPoly":
         other = _coerce(other)
@@ -84,11 +89,11 @@ class QPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QPoly(
-            (d1 + d2, c1 * c2)
-            for d1, c1 in self._terms
-            for d2, c2 in other._terms
-        )
+        acc: dict[int, int] = {}
+        for d1, c1 in self._terms:
+            for d2, c2 in other._terms:
+                acc[d1 + d2] = acc.get(d1 + d2, 0) + c1 * c2
+        return QPoly(acc)
 
     __rmul__ = __mul__
 

@@ -303,10 +303,11 @@ def verify_rsk(n: int) -> Report:
     )
 
     if n <= 5:
-        from .model_hecke import hecke_model_character
+        from . import model_hecke
         from .model_sn import model_basis
 
         basis = model_basis(n)
+        gens = {i: model_hecke.rho_q_generator(i, basis) for i in range(1, n)}
         lams = list(perm.partitions(n))
         tableaux = {lam: enumerate_syt(lam) for lam in lams}
         chi = irreducible_hecke_character
@@ -317,7 +318,7 @@ def verify_rsk(n: int) -> Report:
                     f"mu={mu}"
                     for mu in lams
                     if sum((chi(lam, mu) for lam in lams), ZERO)
-                    != hecke_model_character(mu, basis)
+                    != model_hecke.hecke_model_character(mu, basis, gens)
                 ),
                 f"{len(lams)} types checked",
             ),

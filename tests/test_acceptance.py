@@ -125,33 +125,30 @@ def test_07_specialization_at_one():
     _ok(7, "q=1 specialization equals the group model entrywise, n<=7")
 
 
+def _hecke_trace(mu):
+    basis = model_basis(sum(mu))
+    gens = {i: model_hecke.rho_q_generator(i, basis) for i in range(1, basis.n)}
+    return model_hecke.hecke_model_character(mu, basis, gens)
+
+
 def test_08_trace_identity():
     for n in range(2, 7):
-        basis = model_basis(n)
         for mu in perm.partitions(n):
-            assert model_hecke.hecke_model_character(
-                mu, basis
-            ) == model_hecke.mu_unimodal_character(mu), f"n={n}, mu={mu}"
-    basis2 = model_basis(2)
-    assert model_hecke.hecke_model_character((2,), basis2) == ONE - Q
-    assert model_hecke.hecke_model_character((1, 1), basis2) == QPoly.constant(2)
-    assert model_hecke.hecke_model_character((3,), model_basis(3)) == QPoly(
-        {0: 1, 1: -1, 2: 1}
-    )
+            assert _hecke_trace(mu) == model_hecke.mu_unimodal_character(mu), f"n={n}, mu={mu}"
+    assert _hecke_trace((2,)) == ONE - Q
+    assert _hecke_trace((1, 1)) == QPoly.constant(2)
+    assert _hecke_trace((3,)) == QPoly({0: 1, 1: -1, 2: 1})
     _ok(8, "trace = signed mu-unimodal involution sum for every mu, n<=6")
 
 
 def test_09_irreducible_sum_identity():
     for n in range(2, 6):
-        basis = model_basis(n)
         lams = list(perm.partitions(n))
         for mu in lams:
             total = ZERO
             for lam in lams:
                 total = total + rsk.irreducible_hecke_character(lam, mu)
-            assert total == model_hecke.hecke_model_character(
-                mu, basis
-            ), f"n={n}, mu={mu}"
+            assert total == _hecke_trace(mu), f"n={n}, mu={mu}"
         for lam in lams:
             tabs = rsk.enumerate_syt(lam)
             for mu in lams:

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gelfand import perm
+from gelfand import cli, model_hecke, perm
 from gelfand.errors import CapacityError
 from gelfand.model_hecke import (
     hecke_model_character,
@@ -14,6 +16,7 @@ from gelfand.model_hecke import (
     poset_dot,
     rho_q_generator,
     rho_q_of_word,
+    rho_q_trace,
     t_mu_word,
     verify_hecke_model,
 )
@@ -154,16 +157,79 @@ def test_mu_descent_number_examples():
     assert mu_descent_number((3, 2, 1), (2, 1)) == 1
 
 
+def _gens(basis):
+    return {i: rho_q_generator(i, basis) for i in range(1, basis.n)}
+
+
 def test_character_table_n2():
     basis = model_basis(2)
-    assert hecke_model_character((2,), basis) == ONE - Q
-    assert hecke_model_character((1, 1), basis) == QPoly.constant(2)
+    assert hecke_model_character((2,), basis, _gens(basis)) == ONE - Q
+    assert hecke_model_character((1, 1), basis, _gens(basis)) == QPoly.constant(2)
 
 
 def test_character_table_n3():
     basis = model_basis(3)
-    assert hecke_model_character((2, 1), basis) == QPoly({0: 2, 1: -2})
-    assert hecke_model_character((3,), basis) == QPoly({0: 1, 1: -1, 2: 1})
+    gens = _gens(basis)
+    assert hecke_model_character((2, 1), basis, gens) == QPoly({0: 2, 1: -2})
+    assert hecke_model_character((3,), basis, gens) == QPoly({0: 1, 1: -1, 2: 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1), max_size=7))
+    )
+)
+def test_column_action_trace_equals_product_trace(case):
+    n, word = case
+    basis = model_basis(n)
+    assert rho_q_trace(word, basis, _gens(basis)) == rho_q_of_word(word, basis).trace()
+
+
+@pytest.mark.parametrize("word", [[], [1, 1], [2, 2, 2], [1, 2, 1, 2, 1], [3, 1, 3, 3]])
+def test_column_action_trace_on_chosen_words(word):
+    basis = model_basis(4)
+    assert rho_q_trace(word, basis, _gens(basis)) == rho_q_of_word(word, basis).trace()
+
+
+def test_column_action_trace_reads_any_column_shape():
+    # T_2 T_3 in the place of T_2, as in test_relation_checks: its columns
+    # have up to four nonzeros, which the trace must still follow exactly
+    basis = model_basis(5)
+    gens = _gens(basis)
+    gens[2] = gens[2] @ gens[3]
+    assert max(sum(1 for (_, c) in gens[2].entries if c == k) for k in range(basis.dim)) > 2
+    for word in ([1, 2, 3, 4], [2, 2], [4, 2, 1, 2]):
+        product = PolyMatrix.identity(basis.dim)
+        for i in word:
+            product = product @ gens[i]
+        assert rho_q_trace(word, basis, gens) == product.trace()
+
+
+def _count_generator_builds(monkeypatch):
+    calls = []
+    original = model_hecke.rho_q_generator
+
+    def counted(i, basis):
+        calls.append(i)
+        return original(i, basis)
+
+    monkeypatch.setattr(model_hecke, "rho_q_generator", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_verify_builds_each_generator_once(n, monkeypatch):
+    calls = _count_generator_builds(monkeypatch)
+    assert verify_hecke_model(n).passed
+    assert len(calls) <= n - 1
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_characters_builds_each_generator_once(n, monkeypatch, capsys):
+    calls = _count_generator_builds(monkeypatch)
+    assert cli.main(["characters", "--kind", "hecke", "--n", str(n)]) == 0
+    assert len(calls) <= n - 1
 
 
 def test_unimodal_sum_examples():
@@ -175,8 +241,9 @@ def test_unimodal_sum_examples():
 @pytest.mark.parametrize("n", range(2, 6))
 def test_trace_identity_all_types(n):
     basis = model_basis(n)
+    gens = _gens(basis)
     for mu in perm.partitions(n):
-        assert hecke_model_character(mu, basis) == mu_unimodal_character(mu)
+        assert hecke_model_character(mu, basis, gens) == mu_unimodal_character(mu)
 
 
 def test_block_boundary_exclusion_is_essential():
@@ -187,7 +254,7 @@ def test_block_boundary_exclusion_is_essential():
     for w in perm.enumerate_involutions(2):
         global_sum = global_sum + minus_q_power(len(perm.descent_set(w)))
     assert global_sum == ONE - Q
-    assert global_sum != hecke_model_character((1, 1), basis)
+    assert global_sum != hecke_model_character((1, 1), basis, _gens(basis))
 
 
 @pytest.mark.parametrize("n", range(2, 7))

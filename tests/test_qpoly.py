@@ -92,3 +92,44 @@ def test_json_canonical():
 def test_specialize_drops_zeros():
     m = PolyMatrix.from_entries(2, {(0, 0): ONE - Q, (1, 0): Q})
     assert m.specialize(1) == {(1, 0): 1}
+
+
+def _canonical(pairs):
+    """Reference canonical form: merge equal degrees, sort, drop zero coefficients."""
+    acc = {}
+    for d, c in pairs:
+        acc[d] = acc.get(d, 0) + c
+    return tuple(sorted((d, c) for d, c in acc.items() if c != 0))
+
+
+# Term lists with repeated degrees and small coefficients, so sums and
+# products often cancel, in part or to zero.
+term_lists = st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3)), max_size=6)
+
+
+@given(term_lists, term_lists)
+def test_sum_and_product_keep_the_canonical_terms(a, b):
+    f, g = QPoly(a), QPoly(b)
+    assert f._terms == _canonical(a)
+    assert QPoly(dict(_canonical(a)))._terms == f._terms
+    assert (f + g)._terms == _canonical(a + b)
+    assert (f - g)._terms == _canonical(a + [(d, -c) for d, c in b])
+    assert (-f)._terms == _canonical((d, -c) for d, c in a)
+    assert (f * g)._terms == _canonical(
+        (d1 + d2, c1 * c2) for d1, c1 in a for d2, c2 in b
+    )
+
+
+@given(term_lists)
+def test_cancellation_to_zero_is_the_zero_polynomial(a):
+    f = QPoly(a)
+    for zero in (f - f, f + (-f), f * ZERO, QPoly(a + [(d, -c) for d, c in a])):
+        assert zero._terms == () and zero == ZERO and not zero
+
+
+@pytest.mark.parametrize(
+    "coeffs", [{-1: 1}, {-2: 0, 1: 1}, [(0, 1), (-1, 2)], [(-1, 1), (-1, -1)]]
+)
+def test_negative_degree_is_refused(coeffs):
+    with pytest.raises(ValueError, match="negative degree"):
+        QPoly(coeffs)

@@ -192,16 +192,17 @@ def test_q1_values_match_border_strip_recursion(n):
 
 @pytest.mark.parametrize("n", range(2, 5))
 def test_characters_sum_to_model_trace(n):
-    from gelfand.model_hecke import hecke_model_character
+    from gelfand.model_hecke import hecke_model_character, rho_q_generator
     from gelfand.model_sn import model_basis
 
     basis = model_basis(n)
+    gens = {i: rho_q_generator(i, basis) for i in range(1, n)}
     lams = list(perm.partitions(n))
     for mu in lams:
         total = ZERO
         for lam in lams:
             total = total + irreducible_hecke_character(lam, mu)
-        assert total == hecke_model_character(mu, basis)
+        assert total == hecke_model_character(mu, basis, gens)
 
 
 def test_mn_character_examples():
