@@ -226,7 +226,7 @@ def test_verify_builds_each_generator_once(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
-def test_characters_builds_each_generator_once(n, monkeypatch, capsys):
+def test_characters_builds_each_generator_once(n, monkeypatch):
     calls = _count_generator_builds(monkeypatch)
     assert cli.main(["characters", "--kind", "hecke", "--n", str(n)]) == 0
     assert len(calls) <= n - 1
