@@ -213,8 +213,9 @@ def cmd_matrix(cfg: RunConfig) -> int:
         print(mat.to_json())
     else:
         print(f"dim {mat.dim}")
-        for (r, c) in sorted(mat.entries):
-            print(f"({r},{c}) {mat.entries[(r, c)]}")
+        polys = mat.poly_entries()
+        for (r, c) in sorted(polys):
+            print(f"({r},{c}) {polys[(r, c)]}")
     return 0
 
 

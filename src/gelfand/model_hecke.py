@@ -9,7 +9,6 @@ closed formula and by a BFS oracle over the conjugation graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Literal, Mapping
 
@@ -17,7 +16,7 @@ from . import perm
 from .errors import InternalConsistencyError, require, require_suite
 from .model_sn import ModelBasis, model_basis, pair_orbits, relation_checks, rho_generator_matrix
 from .perm import Partition, Window
-from .qpoly import ONE, Q, ZERO, PolyMatrix, QPoly, minus_q_power
+from .qpoly import ONE, Q, PolyMatrix, QPoly, minus_q_power  # noqa: F401 (perfbench probes it)
 from .report import Check, Report, first_failure
 
 CaseTag = Literal["fixed_descent", "fixed_nondescent", "up", "down"]
@@ -80,27 +79,23 @@ def involutive_length_oracle(w: Window) -> int:
     return _conjugation_distances(n, len(perm.involution_pairs(w)))[w]
 
 
-@dataclass(frozen=True)
-class InvolutiveOrderData:
-    """Grading and covers of the involutive weak order on I_n."""
-
-    n: int
-    lengths: Mapping[Window, int]
-    cover_edges: tuple[tuple[Window, int, Window], ...]
-
-
 @lru_cache(maxsize=None)
-def involutive_order(n: int) -> InvolutiveOrderData:
-    basis = model_basis(n)
-    lengths = {w: involutive_length(w) for w in basis.involutions}
+def involutive_order(n: int) -> dict[Window, int]:
+    """The grading of the involutive weak order on I_n: w -> involutive_length(w)."""
+    return {w: involutive_length(w) for w in model_basis(n).involutions}
+
+
+def cover_edges(n: int) -> list[tuple[Window, int, Window]]:
+    """The covers (w, i, s_i w s_i) of the involutive weak order, one length apart."""
+    lengths = involutive_order(n)
     edges = []
-    for w in basis.involutions:
+    for w in lengths:
         for i in range(1, n):
             s = perm.generator(n, i)
             v = perm.compose(s, perm.compose(w, s))
-            if v != w and lengths[v] == lengths[w] + 1:
+            if lengths[v] == lengths[w] + 1:
                 edges.append((w, i, v))
-    return InvolutiveOrderData(n, lengths, tuple(edges))
+    return edges
 
 
 def _case(w: Window, v: Window, i: int, lengths: Mapping[Window, int]) -> CaseTag:
@@ -121,27 +116,26 @@ def order_relation(w: Window, i: int) -> CaseTag:
     """Which of the four action cases applies to (s_i, w)."""
     n = len(w)
     s = perm.generator(n, i)
-    return _case(w, perm.compose(s, perm.compose(w, s)), i, involutive_order(n).lengths)
+    return _case(w, perm.compose(s, perm.compose(w, s)), i, involutive_order(n))
 
 
 def rho_q_generator(i: int, basis: ModelBasis) -> PolyMatrix:
     """Matrix of T_i: at most two nonzero entries per column."""
     s = perm.generator(basis.n, i)
-    lengths = involutive_order(basis.n).lengths
-    entries: dict[tuple[int, int], QPoly] = {}
+    lengths = involutive_order(basis.n)
+    cols = []
     for c, w in enumerate(basis.involutions):
         v = perm.compose(s, perm.compose(w, s))
         tag = _case(w, v, i, lengths)
         if tag == "fixed_descent":
-            entries[(c, c)] = -Q
+            cols.append({(c, 1): -1})
         elif tag == "fixed_nondescent":
-            entries[(c, c)] = ONE
+            cols.append({(c, 0): 1})
         elif tag == "up":
-            entries[(c, c)] = ONE - Q
-            entries[(basis.index[v], c)] = Q
+            cols.append({(c, 0): 1, (c, 1): -1, (basis.index[v], 1): 1})
         else:
-            entries[(basis.index[v], c)] = ONE
-    return PolyMatrix(basis.dim, entries)
+            cols.append({(basis.index[v], 0): 1})
+    return PolyMatrix(basis.dim, tuple(cols))
 
 
 def rho_q_of_word(word: list[int] | tuple[int, ...], basis: ModelBasis) -> PolyMatrix:
@@ -190,22 +184,11 @@ def rho_q_trace(
     is formed, and each step touches only the nonzeros of the columns it
     reaches (at most two per column for the model's T_i).
     """
-    cols: dict[int, dict[int, list]] = {}
-    for i in set(word):
-        col = cols[i] = {}
-        for (r, c), f in gens[i].entries.items():
-            col.setdefault(c, []).append((r, tuple(f.coeffs.items())))
     total: dict[int, int] = {}
     for c in range(basis.dim):
         vec = {(c, 0): 1}
         for i in reversed(word):
-            col = cols[i]
-            out: dict[tuple[int, int], int] = {}
-            for (k, d), a in vec.items():
-                for r, terms in col.get(k, ()):
-                    for e, b in terms:
-                        out[(r, d + e)] = out.get((r, d + e), 0) + a * b
-            vec = out
+            vec = gens[i].apply(vec)
         for (r, d), a in vec.items():
             if r == c:
                 total[d] = total.get(d, 0) + a
@@ -226,11 +209,13 @@ def mu_unimodal_character(mu: Partition) -> QPoly:
     QPoly('1 - q + q^2')
     """
     n = sum(mu)
-    total = ZERO
-    for w in perm.enumerate_involutions(n):
+    word = set(t_mu_word(mu))
+    total: dict[int, int] = {}
+    for w in model_basis(n).involutions:
         if perm.is_mu_unimodal(w, mu):
-            total = total + minus_q_power(mu_descent_number(w, mu))
-    return total
+            d = len(perm.descent_set(w) & word)
+            total[d] = total.get(d, 0) + (-1) ** d
+    return QPoly(total)
 
 
 def _orbit_interval_witnesses(n: int) -> Iterator[str]:
@@ -240,7 +225,7 @@ def _orbit_interval_witnesses(n: int) -> Iterator[str]:
     of consecutive lengths, size-6 orbits form the hexagonal interval with a
     unique minimum and maximum.
     """
-    lengths = involutive_order(n).lengths
+    lengths = involutive_order(n)
     for i, w, orbit in pair_orbits(n):
         levels = sorted(lengths[v] for v in orbit)
         if len(orbit) == 1:
@@ -279,7 +264,7 @@ def verify_hecke_model(n: int) -> Report:
     """Check the defining relations, the grading, and the trace identity."""
     require_suite("hecke", n)
     basis = model_basis(n)
-    lengths = involutive_order(n).lengths
+    lengths = involutive_order(n)
     checks = [
         first_failure(
             "involutive length formula matches the BFS oracle",
@@ -364,7 +349,7 @@ def verify_hecke_model(n: int) -> Report:
 def poset_dot(n: int) -> str:
     """DOT rendering of the involutive weak order, clustered by cycle type."""
     basis = model_basis(n)
-    data = involutive_order(n)
+    lengths = involutive_order(n)
     by_type: dict[int, list[int]] = {}
     for idx, w in enumerate(basis.involutions):
         by_type.setdefault(len(perm.involution_pairs(w)), []).append(idx)
@@ -377,12 +362,10 @@ def poset_dot(n: int) -> str:
         for idx in by_type[k]:
             w = basis.involutions[idx]
             lines.append(
-                f'    v{idx} [label="{perm.cycle_notation(w)}\\nlen={data.lengths[w]}"];'
+                f'    v{idx} [label="{perm.cycle_notation(w)}\\nlen={lengths[w]}"];'
             )
         lines.append("  }")
-    edges = sorted(
-        (basis.index[w], i, basis.index[v]) for (w, i, v) in data.cover_edges
-    )
+    edges = sorted((basis.index[w], i, basis.index[v]) for (w, i, v) in cover_edges(n))
     for src, i, dst in edges:
         lines.append(f'  v{src} -> v{dst} [label="s{i}"];')
     lines.append("}")

@@ -75,11 +75,9 @@ class SignedPermMatrix:
         return {(r, c): s for c, (r, s) in enumerate(zip(self.rows, self.signs))}
 
     def to_poly_matrix(self):
-        from .qpoly import PolyMatrix, QPoly
+        from .qpoly import PolyMatrix
 
-        return PolyMatrix.from_entries(
-            self.dim, {k: QPoly.constant(v) for k, v in self.entry_dict().items()}
-        )
+        return PolyMatrix.from_entries(self.dim, self.entry_dict())
 
 
 def inv_w(p: Window, w: Window) -> int:

@@ -1,8 +1,9 @@
 """Exact integer-coefficient polynomials in q and sparse square matrices over them.
 
 The scalar ring is Z[q]; coefficients are Python ints, so arithmetic never
-overflows.  Matrices store only nonzero entries, which suits representation
-matrices with at most two nonzeros per column.
+overflows.  A matrix stores each column as a dict (row, q-degree) -> nonzero
+int, so its products, sums and comparisons run on plain ints; a QPoly is
+built only for output, by ``trace``, ``poly_entries`` and ``to_json_obj``.
 """
 
 from __future__ import annotations
@@ -139,72 +140,92 @@ def minus_q_power(k: int) -> QPoly:
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """Square matrix over QPoly; absent entries are zero, stored entries never are."""
+    """Square matrix over Z[q]; column c maps (row, q-degree) to a nonzero int."""
 
     dim: int
-    entries: Mapping[tuple[int, int], QPoly]
+    cols: tuple[dict[tuple[int, int], int], ...]
 
     @staticmethod
     def from_entries(dim: int, items) -> "PolyMatrix":
         pairs = items.items() if isinstance(items, Mapping) else items
-        acc: dict[tuple[int, int], QPoly] = {}
+        cols: list[list] = [[] for _ in range(dim)]
         for (r, c), f in pairs:
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError(f"entry ({r}, {c}) out of range for dim {dim}")
-            f = _coerce(f)
-            acc[(r, c)] = acc.get((r, c), ZERO) + f
-        return PolyMatrix(dim, {k: v for k, v in acc.items() if v})
+            terms = f._terms if isinstance(f, QPoly) else ((0, f),)
+            cols[c].extend(({(r, 0): 1}, e, b) for e, b in terms)
+        return PolyMatrix(dim, tuple(_combine(col) for col in cols))
 
     @staticmethod
     def identity(dim: int) -> "PolyMatrix":
-        return PolyMatrix(dim, {(i, i): ONE for i in range(dim)})
+        return PolyMatrix(dim, tuple({(i, 0): 1} for i in range(dim)))
+
+    @property
+    def entries(self) -> dict[tuple[int, int, int], int]:
+        """Flat view (row, col, q-degree) -> coefficient; builds no QPoly."""
+        return {(r, c, d): a for c, col in enumerate(self.cols) for (r, d), a in col.items()}
+
+    def poly_entries(self) -> dict[tuple[int, int], QPoly]:
+        """Every nonzero entry as a QPoly, keyed (row, col): the output boundary."""
+        acc: dict[tuple[int, int], dict[int, int]] = {}
+        for (r, c, d), a in self.entries.items():
+            acc.setdefault((r, c), {})[d] = a
+        return {k: QPoly(v) for k, v in acc.items()}
+
+    def apply(self, vec: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+        """This matrix times the column vector ``vec``, stored as the columns are."""
+        cols = self.cols
+        return _combine([(cols[k], e, b) for (k, e), b in vec.items()])
+
+    def _check_dim(self, other: "PolyMatrix") -> None:
+        if self.dim != other.dim:
+            raise ValueError(f"dim mismatch: {self.dim} vs {other.dim}")
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.dim != other.dim:
-            raise ValueError(f"dim mismatch: {self.dim} vs {other.dim}")
-        by_col: dict[int, list[tuple[int, QPoly]]] = {}
-        for (r, k), f in self.entries.items():
-            by_col.setdefault(k, []).append((r, f))
-        acc: dict[tuple[int, int], QPoly] = {}
-        for (k, c), g in other.entries.items():
-            for r, f in by_col.get(k, ()):
-                acc[(r, c)] = acc.get((r, c), ZERO) + f * g
-        return PolyMatrix(self.dim, {k: v for k, v in acc.items() if v})
+        self._check_dim(other)
+        return PolyMatrix(self.dim, tuple(self.apply(col) for col in other.cols))
 
     def add(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.dim != other.dim:
-            raise ValueError(f"dim mismatch: {self.dim} vs {other.dim}")
-        acc = dict(self.entries)
-        for k, v in other.entries.items():
-            acc[k] = acc.get(k, ZERO) + v
-        return PolyMatrix(self.dim, {k: v for k, v in acc.items() if v})
+        self._check_dim(other)
+        return PolyMatrix(
+            self.dim, tuple(_combine([(x, 0, 1), (y, 0, 1)]) for x, y in zip(self.cols, other.cols))
+        )
 
     def scale(self, f) -> "PolyMatrix":
-        f = _coerce(f)
+        terms = _coerce(f)._terms
         return PolyMatrix(
-            self.dim, {k: v for k, v in ((k, f * v) for k, v in self.entries.items()) if v}
+            self.dim, tuple(_combine([(col, e, b) for e, b in terms]) for col in self.cols)
         )
 
     def trace(self) -> QPoly:
-        return sum(
-            (v for (r, c), v in self.entries.items() if r == c), ZERO
-        )
+        total: dict[int, int] = {}
+        for c, col in enumerate(self.cols):
+            for (r, d), a in col.items():
+                if r == c:
+                    total[d] = total.get(d, 0) + a
+        return QPoly(total)
 
     def specialize(self, x) -> dict[tuple[int, int], object]:
         """Evaluate every entry at x; zero results are dropped."""
-        out = {}
-        for k, v in self.entries.items():
-            val = v.evaluate(x)
-            if val != 0:
-                out[k] = val
-        return out
+        out: dict[tuple[int, int], object] = {}
+        for (r, c, d), a in self.entries.items():
+            out[(r, c)] = out.get((r, c), x * 0) + a * x**d
+        return {k: v for k, v in out.items() if v != 0}
 
     def to_json_obj(self) -> dict:
-        entries = [
-            [r, c, self.entries[(r, c)].coeff_list()]
-            for (r, c) in sorted(self.entries)
-        ]
+        polys = self.poly_entries()
+        entries = [[r, c, polys[(r, c)].coeff_list()] for (r, c) in sorted(polys)]
         return {"dim": self.dim, "entries": entries}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)
+
+
+def _combine(scaled) -> dict[tuple[int, int], int]:
+    """Sum of b q^e col over the (col, e, b) in ``scaled``, with zero terms dropped."""
+    acc: dict[tuple[int, int], int] = {}
+    for col, e, b in scaled:
+        for (r, d), a in col.items():
+            key = (r, d + e)
+            acc[key] = acc.get(key, 0) + a * b
+    return {k: v for k, v in acc.items() if v} if 0 in acc.values() else acc

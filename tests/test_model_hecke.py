@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from gelfand import cli, model_hecke, perm
 from gelfand.errors import CapacityError
 from gelfand.model_hecke import (
+    cover_edges,
     hecke_model_character,
     involutive_length,
     involutive_length_oracle,
@@ -77,9 +78,8 @@ def test_moved_involutions_shift_length_by_one(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_cover_edges_connect_each_cycle_type(n):
-    data = involutive_order(n)
     adj: dict = {}
-    for w, _, v in data.cover_edges:
+    for w, _, v in cover_edges(n):
         adj.setdefault(w, set()).add(v)
         adj.setdefault(v, set()).add(w)
     by_type: dict = {}
@@ -102,22 +102,22 @@ def test_cover_edges_connect_each_cycle_type(n):
 
 def test_generator_matrix_n2():
     m = rho_q_generator(1, model_basis(2))
-    assert m.entries == {(0, 0): ONE, (1, 1): -Q}
+    assert m.poly_entries() == {(0, 0): ONE, (1, 1): -Q}
 
 
 def test_generator_columns_n3():
     basis = model_basis(3)
-    m = rho_q_generator(1, basis)
+    m = rho_q_generator(1, basis).poly_entries()
     c23 = basis.index[(1, 3, 2)]
     c13 = basis.index[(3, 2, 1)]
     c12 = basis.index[(2, 1, 3)]
     # drop: C_(2 3) maps to C_(1 3) alone
-    assert m.entries[(c13, c23)] == ONE
-    assert (c23, c23) not in m.entries
+    assert m[(c13, c23)] == ONE
+    assert (c23, c23) not in m
     # climb: C_(1 3) maps to (1-q) C_(1 3) + q C_(2 3)
-    assert m.entries[(c13, c13)] == ONE - Q
-    assert m.entries[(c23, c13)] == Q
-    assert m.entries[(c12, c12)] == -Q
+    assert m[(c13, c13)] == ONE - Q
+    assert m[(c23, c13)] == Q
+    assert m[(c12, c12)] == -Q
 
 
 def test_word_product_and_quadratic():
@@ -198,12 +198,31 @@ def test_column_action_trace_reads_any_column_shape():
     basis = model_basis(5)
     gens = _gens(basis)
     gens[2] = gens[2] @ gens[3]
-    assert max(sum(1 for (_, c) in gens[2].entries if c == k) for k in range(basis.dim)) > 2
+    entries = gens[2].poly_entries()
+    assert max(sum(1 for (_, c) in entries if c == k) for k in range(basis.dim)) > 2
     for word in ([1, 2, 3, 4], [2, 2], [4, 2, 1, 2]):
         product = PolyMatrix.identity(basis.dim)
         for i in word:
             product = product @ gens[i]
         assert rho_q_trace(word, basis, gens) == product.trace()
+
+
+def test_generator_arithmetic_builds_no_qpoly(monkeypatch):
+    gens = _gens(model_basis(6))
+    built = []
+    original = QPoly.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(QPoly, "__init__", counted)
+    for m in gens.values():
+        assert m @ m != m.add(m)
+        assert m == m and len(m.entries) >= m.dim
+    assert built == []
+    gens[1].trace()
+    assert len(built) == 1
 
 
 def _count_generator_builds(monkeypatch):
@@ -294,13 +313,14 @@ _CELL = {"0": ZERO, "1": ONE, "q": Q, "1-q": ONE - Q}
 
 def _block(mat, ordered, basis):
     idx = [basis.index[w] for w in ordered]
-    return [[mat.entries.get((r, c), ZERO) for c in idx] for r in idx]
+    entries = mat.poly_entries()
+    return [[entries.get((r, c), ZERO) for c in idx] for r in idx]
 
 
 def test_hexagonal_orbit_blocks_match_known_matrices():
     n, i = 5, 1
     basis = model_basis(n)
-    lengths = involutive_order(n).lengths
+    lengths = involutive_order(n)
     orbit = orbit_under_pair(i, (4, 5, 3, 1, 2))  # (1 4)(2 5)
     assert len(orbit) == 6
     bottom = min(orbit, key=lambda v: lengths[v])

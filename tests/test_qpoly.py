@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,89 @@ def test_matrix_identity_and_trace():
 def test_matrix_dim_mismatch():
     with pytest.raises(ValueError):
         PolyMatrix.identity(2) @ PolyMatrix.identity(3)
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda: PolyMatrix.identity(2).add(PolyMatrix.identity(3)),
+        lambda: PolyMatrix.from_entries(2, {(2, 0): ONE}),
+        lambda: PolyMatrix.from_entries(2, [((0, -1), Q)]),
+    ],
+)
+def test_matrix_size_errors_are_refused(refused):
+    with pytest.raises(ValueError, match="dim mismatch|out of range"):
+        refused()
+
+
+def matrix_cells(dim):
+    """A dim x dim matrix as an (r, c) -> QPoly dict, with small coefficients."""
+    keys = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    return st.dictionaries(keys, polys(max_deg=2, max_coeff=2), max_size=dim * dim)
+
+
+# Two matrices of dim <= 6 and a scalar; the small coefficients make sums
+# and products often cancel.
+matrix_cases = st.integers(1, 6).flatmap(
+    lambda dim: st.tuples(
+        st.just(dim), matrix_cells(dim), matrix_cells(dim), polys(max_deg=2, max_coeff=2)
+    )
+)
+
+
+def _dense(dim, entries):
+    return [[entries.get((r, c), ZERO) for c in range(dim)] for r in range(dim)]
+
+
+def _nonzero(dense):
+    return {(r, c): f for r, row in enumerate(dense) for c, f in enumerate(row) if f}
+
+
+@given(matrix_cases)
+def test_matrix_operations_match_a_dense_reference(case):
+    dim, ea, eb, f = case
+    a, b = PolyMatrix.from_entries(dim, ea), PolyMatrix.from_entries(dim, eb)
+    da, db = _dense(dim, ea), _dense(dim, eb)
+    product = [
+        [sum((da[r][k] * db[k][c] for k in range(dim)), ZERO) for c in range(dim)]
+        for r in range(dim)
+    ]
+    total = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]
+    scaled = [[f * x for x in row] for row in da]
+    assert a.poly_entries() == _nonzero(da)
+    assert (a @ b).poly_entries() == _nonzero(product)
+    assert a @ b == PolyMatrix.from_entries(dim, _nonzero(product))
+    assert a.add(b).poly_entries() == _nonzero(total)
+    assert a.scale(f).poly_entries() == _nonzero(scaled)
+    assert a.trace() == sum((da[i][i] for i in range(dim)), ZERO)
+    assert a.specialize(1) == {
+        k: v for k, v in ((k, g.evaluate(1)) for k, g in _nonzero(da).items()) if v != 0
+    }
+    assert (a == b) == (_nonzero(da) == _nonzero(db))
+    assert len(a.entries) == sum(len(g.coeffs) for g in _nonzero(da).values())
+    expected = [[r, c, g.coeff_list()] for (r, c), g in sorted(_nonzero(da).items())]
+    assert a.to_json() == json.dumps({"dim": dim, "entries": expected}, sort_keys=True)
+
+
+@given(matrix_cases)
+def test_matrix_cancellations_give_the_zero_matrix(case):
+    dim, ea, eb, _ = case
+    a, b = PolyMatrix.from_entries(dim, ea), PolyMatrix.from_entries(dim, eb)
+    zero = PolyMatrix.from_entries(dim, {})
+    minus_a = a.scale(-1)
+    for m in (a.add(minus_a), a.scale(0), a @ zero, zero @ a, (a @ b).add(minus_a @ b)):
+        assert m == zero and m.entries == {} and m.poly_entries() == {}
+        assert m.trace() == ZERO and m.specialize(1) == {}
+    assert PolyMatrix.from_entries(dim, [((0, 0), Q), ((0, 0), -Q)]) == zero
+
+
+def test_matrix_products_that_cancel_to_zero():
+    nilpotent = PolyMatrix.from_entries(2, {(0, 1): Q})
+    zero = PolyMatrix.from_entries(2, {})
+    assert nilpotent @ nilpotent == zero
+    row = PolyMatrix.from_entries(2, {(0, 0): ONE - Q, (0, 1): ONE - Q})
+    col = PolyMatrix.from_entries(2, {(0, 0): Q, (1, 0): -Q})
+    assert row @ col == zero
 
 
 @given(sparse_matrices(), sparse_matrices(), sparse_matrices())
