@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from . import model_hecke, model_sn, perm, rsk, typeb
 from .errors import SUITES, CapacityError, InternalConsistencyError, cap, require, require_suite
@@ -140,38 +142,55 @@ def _cell(key: str, value) -> str:
     return str(value)
 
 
-def _emit_table(fmt: str, records: list[dict]) -> None:
-    """Print the records as JSON, or one table row each with their keys as header."""
+def _emit_table(fmt: str, records: Iterable[dict]) -> None:
+    """Print the records as JSON, or one table row each with their keys as header.
+
+    JSON and csv are written one record at a time, as the records arrive.
+    The text table needs its column widths first, so it reads them all.
+    """
+    out = sys.stdout
     if fmt == "json":
-        print(json.dumps(records, indent=2, sort_keys=True))
+        # The bytes of print(json.dumps(list(records), indent=2, sort_keys=True)).
+        opened = False
+        for r in records:
+            out.write(",\n  " if opened else "[\n  ")
+            out.write(json.dumps(r, indent=2, sort_keys=True).replace("\n", "\n  "))
+            opened = True
+        out.write("\n]\n" if opened else "[]\n")
         return
-    header = list(records[0])
-    rows = [[_cell(k, r[k]) for k in header] for r in records]
+    records = iter(records)
+    first = next(records)
+    header = list(first)
+    rows = ([_cell(k, r[k]) for k in header] for r in itertools.chain([first], records))
     if fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    else:
-        widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(header)]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-        for r in rows:
-            print("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip())
+        return
+    rows = list(rows)
+    widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(header)]
+    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
+    for r in rows:
+        print("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip())
+
+
+def _involution_records(n: int) -> Iterator[dict]:
+    """One listing record per involution of S_n, each read off its 2-cycles."""
+    for idx, w in enumerate(perm.enumerate_involutions(n)):
+        pairs = perm.involution_pairs(w)
+        yield {
+            "index": idx,
+            "window": list(w),
+            "cycles": "".join(f"({a} {b})" for a, b in pairs) or "e",
+            "length": model_hecke.involutive_length(w),
+            "descents": [i for i in range(1, n) if w[i - 1] > w[i]],
+            "pairs": [list(p) for p in pairs],
+        }
 
 
 def cmd_involutions(cfg: RunConfig) -> int:
     require("involutions", cfg.n)
-    records = [
-        {
-            "index": idx,
-            "window": list(w),
-            "cycles": perm.cycle_notation(w),
-            "length": model_hecke.involutive_length(w),
-            "descents": sorted(perm.descent_set(w)),
-            "pairs": [list(p) for p in perm.involution_pairs(w)],
-        }
-        for idx, w in enumerate(perm.enumerate_involutions(cfg.n))
-    ]
-    _emit_table(cfg.fmt, records)
+    _emit_table(cfg.fmt, _involution_records(cfg.n))
     return 0
 
 

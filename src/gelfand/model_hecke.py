@@ -38,21 +38,21 @@ def involutive_length(w: Window) -> int:
     >>> involutive_length((4, 3, 2, 1))
     2
     """
-    pairs = perm.involution_pairs(w)
-    k = len(pairs)
-    supp = sorted(perm.support(w))
-    base = sum(supp) - k * (2 * k + 1)
-    rank = {t: j for j, t in enumerate(supp)}
-    restricted = sum(
-        1
-        for x in range(2 * k)
-        for y in range(x + 1, 2 * k)
-        if rank[w[supp[x] - 1]] > rank[w[supp[y] - 1]]
-    )
+    # w permutes its support, so the values on the support sum to the support
+    # and compare as their ranks do.
+    vals = [x for i, x in enumerate(w, 1) if x != i]
+    restricted = 0
+    seen: list[int] = []
+    for b in vals:
+        for a in seen:
+            if a > b:
+                restricted += 1
+        seen.append(b)
+    k = len(vals) // 2
     half, rem = divmod(restricted - k, 2)
     if rem:
         raise InternalConsistencyError(f"odd inversion excess for {w}")
-    return base + half
+    return sum(vals) - k * (2 * k + 1) + half
 
 
 @lru_cache(maxsize=None)

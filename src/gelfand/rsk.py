@@ -18,7 +18,7 @@ from . import perm
 from .errors import require, require_suite
 from .model_hecke import mu_descent_number
 from .perm import Partition, Window
-from .qpoly import ZERO, QPoly, minus_q_power
+from .qpoly import ZERO, QPoly
 from .report import Check, Report, first_failure
 
 Tableau = tuple[tuple[int, ...], ...]
@@ -174,11 +174,12 @@ def irreducible_hecke_character(
     p0 = insertion_tableau if insertion_tableau is not None else superstandard_tableau(lam)
     if shape(p0) != tuple(lam) or not is_standard(p0):
         raise ValueError(f"{p0} is not a standard tableau of shape {lam}")
-    total = ZERO
+    total: dict[int, int] = {}
     for w in _insertion_table(p0):
         if perm.is_mu_unimodal(w, mu):
-            total = total + minus_q_power(mu_descent_number(w, mu))
-    return total
+            d = mu_descent_number(w, mu)
+            total[d] = total.get(d, 0) + (-1) ** d
+    return QPoly(total)
 
 
 def _beta_to_partition(beta: tuple[int, ...]) -> Partition:

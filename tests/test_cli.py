@@ -1,13 +1,17 @@
+import csv
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from gelfand import cli, model_hecke, perm
 from gelfand.cli import main
 from gelfand.qpoly import QPoly
 
@@ -185,15 +189,20 @@ def test_characters_mismatch_exit(capsys, monkeypatch, table, fmt):
     assert ('"match": false' if fmt == "json" else "MISMATCH") in out
 
 
-def test_broken_pipe_exits_quietly():
+@pytest.mark.parametrize(
+    "fmt, first", [("text", b"index"), ("csv", b"index"), ("json", b"[")],
+    ids=["text", "csv", "json"],
+)
+def test_broken_pipe_exits_quietly(fmt, first):
+    # csv and json write while they compute, so the reader closes mid-stream.
     env = dict(os.environ)
     env.pop("GELFAND_CAP", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "gelfand.cli", "involutions", "--n", "9"],
+        [sys.executable, "-m", "gelfand.cli", "involutions", "--n", "9", "--format", fmt],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
-    assert proc.stdout.readline().startswith(b"index")
+    assert proc.stdout.readline().startswith(first)
     proc.stdout.close()
     try:
         err = proc.stderr.read()
@@ -203,6 +212,73 @@ def test_broken_pipe_exits_quietly():
         proc.stderr.close()
     assert err == b""
     assert code != 1
+
+
+def _materialised_listing(n, fmt):
+    """The listing as it was written before it streamed: every record, then every row."""
+    records = [
+        {
+            "index": idx,
+            "window": list(w),
+            "cycles": perm.cycle_notation(w),
+            "length": model_hecke.involutive_length(w),
+            "descents": sorted(perm.descent_set(w)),
+            "pairs": [list(p) for p in perm.involution_pairs(w)],
+        }
+        for idx, w in enumerate(perm.enumerate_involutions(n))
+    ]
+    if fmt == "json":
+        return json.dumps(records, indent=2, sort_keys=True) + "\n"
+    header = list(records[0])
+    rows = [[cli._cell(k, r[k]) for k in header] for r in records]
+    buf = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
+    widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(header)]
+    for r in [header, *rows]:
+        buf.write("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip() + "\n")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_streamed_listing_matches_the_materialised_one(capsys, n, fmt):
+    code, out, _ = run(capsys, "involutions", "--n", str(n), "--format", fmt)
+    assert code == 0
+    assert out == _materialised_listing(n, fmt)
+
+
+def test_json_table_of_no_records_is_an_empty_list(capsys):
+    cli._emit_table("json", iter([]))
+    assert capsys.readouterr().out == json.dumps([], indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_listing_cycles_are_the_cycle_notation(n):
+    for r in cli._involution_records(n):
+        w = tuple(r["window"])
+        assert r["cycles"] == perm.cycle_notation(w)
+        assert r["descents"] == sorted(perm.descent_set(w))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_listing_memory_stays_flat(monkeypatch, fmt):
+    # Building every record before writing peaked at 14 MB (csv) and 42 MB
+    # (json) on this call; streaming keeps little more than the involutions.
+    monkeypatch.setenv("GELFAND_CAP", "10")
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["involutions", "--n", "10", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 5_000_000
 
 
 def test_characters_single_mu(capsys):

@@ -40,10 +40,34 @@ def test_involutive_length_examples():
     assert involutive_length_oracle((4, 3, 2, 1)) == 2
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_formula_matches_oracle(n):
     for w in model_basis(n).involutions:
         assert involutive_length(w) == involutive_length_oracle(w)
+
+
+def _rank_dict_length(w):
+    """The closed formula as first written: support ranks through a dict, one generator."""
+    pairs = perm.involution_pairs(w)
+    k = len(pairs)
+    supp = sorted(perm.support(w))
+    base = sum(supp) - k * (2 * k + 1)
+    rank = {t: j for j, t in enumerate(supp)}
+    restricted = sum(
+        1
+        for x in range(2 * k)
+        for y in range(x + 1, 2 * k)
+        if rank[w[supp[x] - 1]] > rank[w[supp[y] - 1]]
+    )
+    half, rem = divmod(restricted - k, 2)
+    assert rem == 0
+    return base + half
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_formula_matches_the_rank_dict_body(n):
+    for w in perm.enumerate_involutions(n):
+        assert involutive_length(w) == _rank_dict_length(w)
 
 
 def test_oracle_cap():

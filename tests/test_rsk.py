@@ -165,6 +165,22 @@ def test_character_matches_filter_for_every_tableau(n):
                 ) == _filtered_character(table, lam, mu, t)
 
 
+def test_character_builds_one_qpoly(monkeypatch):
+    built = []
+    original = QPoly.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(QPoly, "__init__", counted)
+    value = irreducible_hecke_character((3, 2, 1), (2, 2, 1, 1))
+    assert len(built) == 1
+    table = _insert_all(6)
+    monkeypatch.undo()
+    assert value == _filtered_character(table, (3, 2, 1), (2, 2, 1, 1))
+
+
 def test_character_rejects_a_tableau_of_another_shape():
     with pytest.raises(ValueError):
         irreducible_hecke_character((2, 1), (3,), ((1, 2, 3),))
