@@ -273,70 +273,45 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _sn_character_rows(cfg: RunConfig) -> list[dict]:
-    basis = model_sn.model_basis(cfg.n)
-    records = []
-    for ct, rep in perm.conjugacy_class_reps(cfg.n):
-        if cfg.mu is not None and ct != cfg.mu:
-            continue
-        tr = model_sn.rho_character(rep, basis)
-        brute = perm.square_roots_count(rep)
-        formula = model_sn.fs_count_formula(perm.multiplicities(ct))
-        records.append(
-            {
-                "class": list(ct),
-                "trace": tr,
-                "square_roots": brute,
-                "formula": formula,
-                "match": tr == brute == formula,
-            }
-        )
-    return records
-
-
-def _hecke_character_rows(cfg: RunConfig) -> list[dict]:
-    mus = [mu for mu in perm.partitions(cfg.n) if cfg.mu is None or mu == cfg.mu]
-    records = []
-    if cfg.lam is not None:
-        for mu in mus:
-            val = rsk.irreducible_hecke_character(cfg.lam, mu)
-            at1 = val.evaluate(1)
-            oracle = rsk.mn_character(cfg.lam, mu)
-            records.append(
-                {
-                    "mu": list(mu),
-                    "value": str(val),
-                    "value_at_1": at1,
-                    "classical_oracle": oracle,
-                    "match": at1 == oracle,
-                }
-            )
-        return records
-    basis = model_sn.model_basis(cfg.n)
-    gens = {i: model_hecke.rho_q_generator(i, basis) for i in range(1, cfg.n)}
-    for mu in mus:
-        tr = model_hecke.hecke_model_character(mu, basis, gens)
-        um = model_hecke.mu_unimodal_character(mu)
-        records.append(
-            {
-                "mu": list(mu),
-                "trace": str(tr),
-                "unimodal_sum": str(um),
-                "match": tr == um,
-            }
-        )
-    return records
-
-
-def cmd_characters(cfg: RunConfig) -> int:
+def _character_rows(cfg: RunConfig) -> list[dict]:
+    """One ``characters`` row per class, read from the model's trace table, with a match column."""
     if cfg.kind == "sn":
         if cfg.lam is not None:
             raise UsageError("--lambda needs --kind hecke")
         require("characters_sn", cfg.n)
-        records = _sn_character_rows(cfg)
-    else:
-        require("characters_lambda" if cfg.lam is not None else "characters_hecke", cfg.n)
-        records = _hecke_character_rows(cfg)
+        return [
+            {
+                "class": list(ct),
+                "trace": tr,
+                "square_roots": roots,
+                "formula": formula,
+                "match": tr == roots == formula,
+            }
+            for ct, tr, roots, formula in model_sn.class_traces(cfg.n, cfg.mu)
+        ]
+    if cfg.lam is not None:
+        require("characters_lambda", cfg.n)
+        return [
+            {
+                "mu": list(mu),
+                "value": str(val),
+                "value_at_1": val.evaluate(1),
+                "classical_oracle": oracle,
+                "match": val.evaluate(1) == oracle,
+            }
+            for mu, val, oracle in rsk.lambda_traces(cfg.lam, cfg.mu)
+        ]
+    require("characters_hecke", cfg.n)
+    basis = model_sn.model_basis(cfg.n)
+    gens = {i: model_hecke.rho_q_generator(i, basis) for i in range(1, cfg.n)}
+    return [
+        {"mu": list(mu), "trace": str(tr), "unimodal_sum": str(um), "match": tr == um}
+        for mu, tr, um in model_hecke.type_traces(basis, gens, cfg.mu)
+    ]
+
+
+def cmd_characters(cfg: RunConfig) -> int:
+    records = _character_rows(cfg)
     _emit_table(cfg.fmt, records)
     return 0 if all(r["match"] for r in records) else 1
 

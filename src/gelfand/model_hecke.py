@@ -218,6 +218,19 @@ def mu_unimodal_character(mu: Partition) -> QPoly:
     return QPoly(total)
 
 
+def type_traces(
+    basis: ModelBasis, gens: Mapping[int, PolyMatrix], mu: Partition | None = None
+) -> Iterator[tuple[Partition, QPoly, QPoly]]:
+    """(mu, column-action trace at T_{w_mu}, signed unimodal sum) per type, or for ``mu`` alone.
+
+    >>> basis = model_basis(3)
+    >>> list(type_traces(basis, {i: rho_q_generator(i, basis) for i in (1, 2)}, (3,)))
+    [((3,), QPoly('1 - q + q^2'), QPoly('1 - q + q^2'))]
+    """
+    for m in perm.partitions(basis.n) if mu is None else [mu]:
+        yield m, hecke_model_character(m, basis, gens), mu_unimodal_character(m)
+
+
 def _orbit_interval_witnesses(n: int) -> Iterator[str]:
     """A witness for every <s_i, s_{i+1}> orbit of the wrong shape in the weak order.
 
@@ -331,15 +344,12 @@ def verify_hecke_model(n: int) -> Report:
         )
     )
 
-    mus = list(perm.partitions(n))
-    traces = (
-        (mu, hecke_model_character(mu, basis, gens), mu_unimodal_character(mu)) for mu in mus
-    )
+    rows = list(type_traces(basis, gens))
     checks.append(
         first_failure(
             "trace equals the signed unimodal-involution sum for every type",
-            (f"mu={mu}: trace={lhs} sum={rhs}" for mu, lhs, rhs in traces if lhs != rhs),
-            f"{len(mus)} types checked",
+            (f"mu={mu}: trace={lhs} sum={rhs}" for mu, lhs, rhs in rows if lhs != rhs),
+            f"{len(rows)} types checked",
         )
     )
 

@@ -19,8 +19,8 @@ from math import factorial
 from typing import Any, Callable, Iterator, Mapping
 
 from . import perm
-from .errors import require_suite
-from .perm import Window
+from .errors import require, require_suite
+from .perm import Partition, Window
 from .report import Check, Report, first_failure
 
 ALL_PAIRS_CAP = 5
@@ -178,6 +178,22 @@ def fs_count_formula(mult: Mapping[int, int]) -> int:
     for r, d in sorted(mult.items()):
         total *= square_root_factor(r, d)
     return total
+
+
+def class_traces(n: int, mu: Partition | None = None) -> Iterator[tuple[Partition, int, int, int]]:
+    """(class, trace, square-root count, product formula) per cycle type, or for ``mu`` alone.
+
+    The ``square_roots`` cap is checked before the basis is built.
+
+    >>> list(class_traces(3))
+    [((3,), 1, 1, 1), ((2, 1), 0, 0, 0), ((1, 1, 1), 4, 4, 4)]
+    """
+    require("square_roots", n)
+    basis = model_basis(n)
+    for ct, rep in perm.conjugacy_class_reps(n):
+        if mu is None or ct == mu:
+            tr = rho_character(rep, basis)
+            yield ct, tr, perm.square_roots_count(rep), fs_count_formula(perm.multiplicities(ct))
 
 
 def orbit_under_pair(i: int, w: Window) -> frozenset[Window]:
@@ -367,20 +383,16 @@ def verify_sn_model(n: int, *, seed: int = 0) -> Report:
 
     checks.extend(orbit_checks(n))
 
-    formulas = {ct: fs_count_formula(perm.multiplicities(ct)) for ct in perm.partitions(n)}
-    traces = (
-        (ct, rho_character(p, basis), perm.square_roots_count(p))
-        for ct, p in perm.conjugacy_class_reps(n)
-    )
+    rows = list(class_traces(n))
     checks.append(
         first_failure(
             "trace = square-root count = product formula on every class",
             (
-                f"class {ct}: trace={tr} square_roots={roots} formula={formulas[ct]}"
-                for ct, tr, roots in traces
-                if not tr == roots == formulas[ct]
+                f"class {ct}: trace={tr} square_roots={roots} formula={formula}"
+                for ct, tr, roots, formula in rows
+                if not tr == roots == formula
             ),
-            f"{len(formulas)} classes checked",
+            f"{len(rows)} classes checked",
         )
     )
 

@@ -59,34 +59,9 @@ def generator(n: int, i: int) -> Window:
     return tuple(w)
 
 
-def inversion_set(p: Window) -> set[tuple[int, int]]:
-    """All pairs (i, j) with i < j whose order p reverses.
-
-    >>> sorted(inversion_set((3, 1, 2)))
-    [(1, 2), (1, 3)]
-    """
-    n = len(p)
-    return {
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if p[i - 1] > p[j - 1]
-    }
-
-
-def length(p: Window) -> int:
-    """Coxeter length, computed as the inversion count."""
-    return len(inversion_set(p))
-
-
 def descent_set(p: Window) -> set[int]:
     """Generator indices i with p(i) > p(i+1)."""
     return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
-
-
-def support(p: Window) -> set[int]:
-    """Positions moved by p."""
-    return {i for i in range(1, len(p) + 1) if p[i - 1] != i}
 
 
 def cycles(p: Window) -> list[tuple[int, ...]]:
@@ -104,15 +79,6 @@ def cycles(p: Window) -> list[tuple[int, ...]]:
             j = p[j - 1]
         out.append(tuple(cyc))
     return out
-
-
-def cycle_type(p: Window) -> Partition:
-    """Multiset of cycle lengths as a partition.
-
-    >>> cycle_type((2, 3, 1, 4))
-    (3, 1)
-    """
-    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
 
 
 def cycle_notation(p: Window) -> str:
@@ -290,7 +256,8 @@ def bfs(start: Hashable, moves: Callable[[Any], Sequence[Any]]) -> dict[Any, tup
 def bfs_word_lengths(n: int) -> dict[Window, int]:
     """Minimal generator word length of every element, by BFS on the Cayley graph.
 
-    Oracle for ``length`` and the descent criterion; exponential in n.
+    Oracle for the descent criterion (s_i is a descent of p exactly when p s_i
+    is shorter); exponential in n.
     """
     gens = [generator(n, i) for i in range(1, n)]
     paths = bfs(identity(n), lambda p: [compose(p, g) for g in gens])

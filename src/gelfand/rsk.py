@@ -14,9 +14,9 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator
 
-from . import perm
+from . import model_hecke, perm
 from .errors import require, require_suite
-from .model_hecke import mu_descent_number
+from .model_hecke import model_basis, mu_descent_number
 from .perm import Partition, Window
 from .qpoly import ZERO, QPoly
 from .report import Check, Report, first_failure
@@ -182,6 +182,18 @@ def irreducible_hecke_character(
     return QPoly(total)
 
 
+def lambda_traces(
+    lam: Partition, mu: Partition | None = None
+) -> Iterator[tuple[Partition, QPoly, int]]:
+    """(mu, character at T_{w_mu}, border-strip value at q=1) per type, or for ``mu`` alone.
+
+    >>> list(lambda_traces((2, 1)))
+    [((3,), QPoly('-q'), -1), ((2, 1), QPoly('1 - q'), 0), ((1, 1, 1), QPoly('2'), 2)]
+    """
+    for m in perm.partitions(sum(lam)) if mu is None else [mu]:
+        yield m, irreducible_hecke_character(lam, m), mn_character(lam, m)
+
+
 def _beta_to_partition(beta: tuple[int, ...]) -> Partition:
     m = len(beta)
     parts = tuple(beta[i] - (m - 1 - i) for i in range(m))
@@ -304,22 +316,18 @@ def verify_rsk(n: int) -> Report:
     )
 
     if n <= 5:
-        from . import model_hecke
-        from .model_sn import model_basis
-
         basis = model_basis(n)
         gens = {i: model_hecke.rho_q_generator(i, basis) for i in range(1, n)}
         lams = list(perm.partitions(n))
         tableaux = {lam: enumerate_syt(lam) for lam in lams}
-        chi = irreducible_hecke_character
+        rows = [(lam, *row) for lam in lams for row in lambda_traces(lam)]
         checks += [
             first_failure(
                 "irreducible characters sum to the model trace",
                 (
                     f"mu={mu}"
-                    for mu in lams
-                    if sum((chi(lam, mu) for lam in lams), ZERO)
-                    != model_hecke.hecke_model_character(mu, basis, gens)
+                    for mu, trace, _ in model_hecke.type_traces(basis, gens)
+                    if sum((value for _, m, value, _ in rows if m == mu), ZERO) != trace
                 ),
                 f"{len(lams)} types checked",
             ),
@@ -327,19 +335,13 @@ def verify_rsk(n: int) -> Report:
                 "character value independent of the chosen tableau",
                 (
                     f"lam={lam}, mu={mu}"
-                    for lam in lams
-                    for mu in lams
-                    if len({chi(lam, mu, t) for t in tableaux[lam]}) != 1
+                    for lam, mu, *_ in rows
+                    if len({irreducible_hecke_character(lam, mu, t) for t in tableaux[lam]}) != 1
                 ),
             ),
             first_failure(
                 "q=1 values match the border-strip recursion",
-                (
-                    f"lam={lam}, mu={mu}"
-                    for lam in lams
-                    for mu in lams
-                    if chi(lam, mu).evaluate(1) != mn_character(lam, mu)
-                ),
+                (f"lam={lam}, mu={mu}" for lam, mu, value, mn in rows if value.evaluate(1) != mn),
             ),
             first_failure(
                 "summed irreducible characters count square roots",

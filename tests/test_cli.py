@@ -189,6 +189,93 @@ def test_characters_mismatch_exit(capsys, monkeypatch, table, fmt):
     assert ('"match": false' if fmt == "json" else "MISMATCH") in out
 
 
+def test_characters_sn_refuses_the_square_root_cap_before_building_the_basis(capsys, monkeypatch):
+    from gelfand import model_sn
+
+    monkeypatch.setenv("GELFAND_CAP", "10")
+    model_sn.model_basis.cache_clear()
+    code, out, err = run(capsys, "characters", "--kind", "sn", "--n", "10")
+    assert (code, out, err) == (2, "", "error: square root enumeration capped at n=9, got 10\n")
+    assert model_sn.model_basis.cache_info().misses == 0
+
+
+_ONE_CLASS = {
+    "sn": (("--kind", "sn"), "model_sn", "rho_character"),
+    "hecke": (("--kind", "hecke"), "model_hecke", "rho_q_trace"),
+    "lambda": (("--kind", "hecke", "--lambda", "3,2"), "rsk", "irreducible_hecke_character"),
+}
+
+
+@pytest.mark.parametrize("table", list(_ONE_CLASS))
+def test_characters_with_mu_computes_one_class(capsys, monkeypatch, table):
+    args, module, name = _ONE_CLASS[table]
+    mod = importlib.import_module(f"gelfand.{module}")
+    original = getattr(mod, name)
+    calls = []
+
+    def counted(*a):
+        calls.append(a)
+        return original(*a)
+
+    monkeypatch.setattr(mod, name, counted)
+    code, out, _ = run(capsys, "characters", "--n", "5", "--mu", "3,2", "--format", "json", *args)
+    assert code == 0
+    assert [row["mu" if table != "sn" else "class"] for row in json.loads(out)] == [[3, 2]]
+    assert len(calls) == 1
+
+
+# Each trace generator, what ``characters`` needs to read it, and the checks
+# of each verify suite that read it.
+_TRACE_GENERATORS = {
+    "sn": (
+        "model_sn",
+        "class_traces",
+        ("--kind", "sn"),
+        {"sn": ["trace = square-root count = product formula on every class"]},
+    ),
+    "hecke": (
+        "model_hecke",
+        "type_traces",
+        ("--kind", "hecke"),
+        {
+            "hecke": ["trace equals the signed unimodal-involution sum for every type"],
+            "rsk": ["irreducible characters sum to the model trace"],
+        },
+    ),
+    "lambda": (
+        "rsk",
+        "lambda_traces",
+        ("--kind", "hecke", "--lambda", "2,1"),
+        {
+            "rsk": [
+                "irreducible characters sum to the model trace",
+                "q=1 values match the border-strip recursion",
+            ]
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("table", list(_TRACE_GENERATORS))
+def test_one_wrong_trace_row_fails_verify_and_characters(capsys, monkeypatch, table):
+    module, name, args, failing = _TRACE_GENERATORS[table]
+    mod = importlib.import_module(f"gelfand.{module}")
+    original = getattr(mod, name)
+
+    def one_wrong_row(*a):
+        rows = original(*a)
+        mu, value, *oracles = next(rows)
+        yield (mu, value + 1, *oracles)
+        yield from rows
+
+    monkeypatch.setattr(mod, name, one_wrong_row)
+    for scope, names in failing.items():
+        assert [c.name for c in cli.run_suite(scope, 3).checks if not c.passed] == names
+    code, out, _ = run(capsys, "characters", "--n", "3", *args)
+    assert code == 1
+    assert out.count("MISMATCH") == 1
+
+
 @pytest.mark.parametrize(
     "fmt, first", [("text", b"index"), ("csv", b"index"), ("json", b"[")],
     ids=["text", "csv", "json"],

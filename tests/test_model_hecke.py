@@ -19,6 +19,7 @@ from gelfand.model_hecke import (
     rho_q_of_word,
     rho_q_trace,
     t_mu_word,
+    type_traces,
     verify_hecke_model,
 )
 from gelfand.model_sn import model_basis, orbit_under_pair, rho_generator_matrix
@@ -50,7 +51,7 @@ def _rank_dict_length(w):
     """The closed formula as first written: support ranks through a dict, one generator."""
     pairs = perm.involution_pairs(w)
     k = len(pairs)
-    supp = sorted(perm.support(w))
+    supp = [i for i in range(1, len(w) + 1) if w[i - 1] != i]
     base = sum(supp) - k * (2 * k + 1)
     rank = {t: j for j, t in enumerate(supp)}
     restricted = sum(
@@ -383,3 +384,13 @@ def test_verify_hecke_model_passes(n):
 def test_verify_hecke_cap():
     with pytest.raises(CapacityError):
         verify_hecke_model(7)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_type_traces_for_one_type_are_its_filtered_rows(n):
+    basis = model_basis(n)
+    gens = _gens(basis)
+    rows = list(type_traces(basis, gens))
+    assert [row[0] for row in rows] == list(perm.partitions(n))
+    for mu in perm.partitions(n):
+        assert list(type_traces(basis, gens, mu)) == [row for row in rows if row[0] == mu]

@@ -9,6 +9,7 @@ from gelfand import perm
 from gelfand.errors import CapacityError
 from gelfand.model_sn import (
     SignedPermMatrix,
+    class_traces,
     fs_count_formula,
     inv_w,
     model_basis,
@@ -209,3 +210,11 @@ def test_verify_sn_cap():
         verify_sn_model(9)
     with pytest.raises(CapacityError):
         verify_sn_model(1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_class_traces_for_one_class_are_its_filtered_rows(n):
+    rows = list(class_traces(n))
+    assert [row[0] for row in rows] == list(perm.partitions(n))
+    for mu in perm.partitions(n):
+        assert list(class_traces(n, mu)) == [row for row in rows if row[0] == mu]

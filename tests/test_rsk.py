@@ -12,6 +12,7 @@ from gelfand.rsk import (
     involution_fixedpoint_vs_oddcolumns,
     irreducible_hecke_character,
     is_standard,
+    lambda_traces,
     mn_character,
     odd_columns,
     rs_insert,
@@ -276,3 +277,12 @@ def test_fixedpoint_vs_oddcolumns_passes(n):
 def test_verify_rsk_passes(n):
     report = verify_rsk(n)
     assert report.passed, report.text()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_lambda_traces_for_one_type_are_its_filtered_rows(n):
+    for lam in perm.partitions(n):
+        rows = list(lambda_traces(lam))
+        assert [row[0] for row in rows] == list(perm.partitions(n))
+        for mu in perm.partitions(n):
+            assert list(lambda_traces(lam, mu)) == [row for row in rows if row[0] == mu]
