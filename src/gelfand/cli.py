@@ -250,14 +250,15 @@ def run_suite(scope: str, n: int, seed: int = 0) -> Report:
 def _verify_reports(cfg: RunConfig) -> list[Report]:
     """Check the guard of every requested suite, then run the suites in order.
 
-    Under ``--scope all`` each suite runs at the smaller of n and its own
-    cap.  The oracle caps are checked in the first pass too, so a refused
-    request does no work.
+    Under ``--scope all`` each suite runs at the smallest of n, its own cap
+    and its oracle's cap.  Every guard is checked in the first pass, so a
+    refused request does no work.
     """
     scopes = tuple(SUITES) if cfg.scope == "all" else (cfg.scope,)
     size = {}
     for s in scopes:
-        size[s] = cfg.n if s == cfg.scope else min(cfg.n, cap(SUITES[s].cap))
+        suite = SUITES[s]
+        size[s] = cfg.n if s == cfg.scope else min(cfg.n, cap(suite.cap), cap(suite.oracle))
         require_suite(s, size[s])
     return [run_suite(s, size[s], cfg.seed) for s in scopes]
 

@@ -459,8 +459,8 @@ def test_bad_element_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (("--scope", "all", "--n", "6"), "square root enumeration capped at n=5"),
-        (("--scope", "all", "--n", "9"), "involutive length oracle capped at n=8"),
+        (("--scope", "typeb", "--n", "6"), "square root enumeration capped at n=5"),
+        (("--scope", "hecke", "--n", "9"), "involutive length oracle capped at n=8"),
         (("--scope", "sn", "--n", "10"), "square root enumeration capped at n=9, got 10"),
         (("--scope", "rsk", "--n", "9"), "report capped at n=8, got 9"),
         (("--scope", "typeb", "--n", "6", "--slow"), "square root enumeration capped at n=5"),
@@ -479,6 +479,23 @@ def test_oracle_caps_refused_before_any_suite_runs(capsys, monkeypatch, args, me
     monkeypatch.setenv("GELFAND_CAP", "12")
     code, out, err = run(capsys, "verify", *args)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "n, sizes",
+    [
+        (6, {"sn": 6, "hecke": 6, "rsk": 6, "typeb": 5}),
+        (9, {"sn": 9, "hecke": 8, "rsk": 8, "typeb": 5}),
+    ],
+)
+def test_scope_all_runs_each_suite_within_its_oracle_cap(capsys, monkeypatch, n, sizes):
+    from gelfand.report import Report
+
+    monkeypatch.setattr(cli, "run_suite", lambda scope, m, seed=0: Report(scope, m, ()))
+    monkeypatch.setenv("GELFAND_CAP", "12")
+    code, out, err = run(capsys, "verify", "--scope", "all", "--n", str(n), "--format", "json")
+    assert (code, err) == (0, "")
+    assert [(r["scope"], r["n"]) for r in json.loads(out)] == list(sizes.items())
 
 
 def test_env_cap_raises_limit(capsys, monkeypatch):
