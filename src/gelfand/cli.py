@@ -254,13 +254,12 @@ def _verify_reports(cfg: RunConfig) -> list[Report]:
     and its oracle's cap.  Every guard is checked in the first pass, so a
     refused request does no work.
     """
-    scopes = tuple(SUITES) if cfg.scope == "all" else (cfg.scope,)
+    suites = SUITES if cfg.scope == "all" else {cfg.scope: SUITES[cfg.scope]}
     size = {}
-    for s in scopes:
-        suite = SUITES[s]
+    for s, suite in suites.items():
         size[s] = cfg.n if s == cfg.scope else min(cfg.n, cap(suite.cap), cap(suite.oracle))
         require_suite(s, size[s])
-    return [run_suite(s, size[s], cfg.seed) for s in scopes]
+    return [run_suite(s, size[s], cfg.seed) for s in suites]
 
 
 def cmd_verify(cfg: RunConfig) -> int:

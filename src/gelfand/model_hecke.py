@@ -235,42 +235,29 @@ def _orbit_interval_witnesses(n: int) -> Iterator[str]:
     """A witness for every <s_i, s_{i+1}> orbit of the wrong shape in the weak order.
 
     Size-1 orbits are doubly fixed without descents, size-3 orbits are chains
-    of consecutive lengths, size-6 orbits form the hexagonal interval with a
-    unique minimum and maximum.
+    of consecutive lengths, and size-6 orbits are hexagons: cycles whose
+    lengths, going round from the bottom, are lo, lo+1, lo+2, lo+3, lo+2, lo+1.
     """
     lengths = involutive_order(n)
-    for i, w, orbit in pair_orbits(n):
-        levels = sorted(lengths[v] for v in orbit)
-        if len(orbit) == 1:
+    for i, walk, ends in pair_orbits(n):
+        ring = [lengths[v] for v in walk]
+        levels = sorted(ring)
+        lo = levels[0]
+        if len(walk) == 1:
+            w = walk[0]
             if {order_relation(w, i), order_relation(w, i + 1)} != {"fixed_nondescent"}:
                 yield f"size-1 orbit with a descent: i={i}, w={w}"
-        elif len(orbit) == 3:
-            lo = levels[0]
+        elif len(walk) == 3:
             if levels != [lo, lo + 1, lo + 2]:
                 yield f"size-3 orbit not a chain: i={i}, levels={levels}"
-        elif len(orbit) == 6:
-            lo = levels[0]
+        elif len(walk) == 6:
+            k = ring.index(lo)
             if levels != [lo, lo + 1, lo + 1, lo + 2, lo + 2, lo + 3]:
                 yield f"size-6 orbit not hexagonal: i={i}, levels={levels}"
-                continue
-            bottom = [v for v in orbit if lengths[v] == lo][0]
-            si = perm.generator(n, i)
-            sj = perm.generator(n, i + 1)
-            a = perm.compose(si, perm.compose(bottom, si))
-            b = perm.compose(sj, perm.compose(bottom, sj))
-            ab = perm.compose(sj, perm.compose(a, sj))
-            ba = perm.compose(si, perm.compose(b, si))
-            top = perm.compose(si, perm.compose(ab, si))
-            if (
-                len({bottom, a, b, ab, ba, top}) != 6
-                or [lengths[v] for v in (a, b)] != [lo + 1, lo + 1]
-                or [lengths[v] for v in (ab, ba)] != [lo + 2, lo + 2]
-                or lengths[top] != lo + 3
-                or top != perm.compose(sj, perm.compose(ba, sj))
-            ):
-                yield f"size-6 orbit lacks the hexagon structure: i={i}, w={bottom}"
+            elif ends is not None or ring[k:] + ring[:k] != [lo + d for d in (0, 1, 2, 3, 2, 1)]:
+                yield f"size-6 orbit lacks the hexagon structure: i={i}, w={walk[k]}"
         else:
-            yield f"orbit of size {len(orbit)} at i={i}, w={w}"
+            yield f"orbit of size {len(walk)} at i={i}, w={min(walk)}"
 
 
 def verify_hecke_model(n: int) -> Report:

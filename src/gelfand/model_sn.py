@@ -196,27 +196,44 @@ def class_traces(n: int, mu: Partition | None = None) -> Iterator[tuple[Partitio
             yield ct, tr, perm.square_roots_count(rep), fs_count_formula(perm.multiplicities(ct))
 
 
-def orbit_under_pair(i: int, w: Window) -> frozenset[Window]:
-    """Conjugation orbit of the involution w under <s_i, s_{i+1}>."""
-    n = len(w)
-    if not 1 <= i <= n - 2:
-        raise ValueError(f"need 1 <= i <= n-2, got i={i} for n={n}")
-    gens = [perm.generator(n, i), perm.generator(n, i + 1)]
-    return frozenset(perm.bfs(w, lambda v: [perm.compose(s, perm.compose(v, s)) for s in gens]))
+def orbit_walk(i: int, w: Window) -> tuple[tuple[Window, ...], tuple[int, int] | None]:
+    """The conjugation orbit of the involution w under <s_i, s_{i+1}>, as (walk, ends).
 
+    Conjugation by s_i and by s_{i+1} are involutions of the basis, so the
+    orbit is a path or a cycle whose steps alternate between them.  A path
+    is walked end to end, and ``ends`` names the generators fixing walk[0]
+    and walk[-1].  A cycle has no fixed end: it is walked from w, s_i first,
+    and ``ends`` is None.  An i outside 1..n-2 raises ValueError.
 
-def pair_orbits(n: int) -> Iterator[tuple[int, Window, frozenset[Window]]]:
-    """Every distinct <s_i, s_{i+1}> orbit of the basis once, for i = 1..n-2.
-
-    Yields (i, w, orbit), with w the orbit's first involution in basis order.
+    >>> orbit_walk(1, (2, 1, 3))
+    (((1, 3, 2), (3, 2, 1), (2, 1, 3)), (2, 1))
     """
+    gens = (perm.generator(len(w), i), perm.generator(len(w), i + 1))
+    walk, ends, k = [w], [], 0
+    while len(ends) < 2:
+        v = perm.compose(gens[k], perm.compose(walk[-1], gens[k]))
+        if v == walk[-1]:
+            # An end, fixed by s_{i+k}: turn round and walk on from w by s_{i+1}.
+            ends.insert(0, i + k)
+            walk.reverse()
+            k = 1
+        elif v == w:
+            return tuple(walk), None
+        else:
+            walk.append(v)
+            k = 1 - k
+    return tuple(walk), (ends[0], ends[1])
+
+
+def pair_orbits(n: int) -> Iterator[tuple[int, tuple[Window, ...], tuple[int, int] | None]]:
+    """Each distinct <s_i, s_{i+1}> orbit of the basis once as (i, walk, ends), i = 1..n-2."""
     for i in range(1, n - 1):
         seen: set[Window] = set()
         for w in model_basis(n).involutions:
             if w not in seen:
-                orbit = orbit_under_pair(i, w)
-                seen |= orbit
-                yield i, w, orbit
+                walk, ends = orbit_walk(i, w)
+                seen.update(walk)
+                yield i, walk, ends
 
 
 def sign_cocycle_witness(
@@ -239,51 +256,32 @@ def sign_cocycle_witness(
     return None
 
 
-def _descent_equivalence_holds(i: int, orbit: frozenset[Window]) -> bool:
-    """Check the end-to-end descent equivalence in a size-3 orbit.
-
-    One end v of the chain is fixed by one of the two generators a; the other
-    end u = a b v b a is fixed by b, and a is a descent of v exactly when b is
-    a descent of u.
-    """
-    n = len(next(iter(orbit)))
-    found = False
-    for a, b in ((i, i + 1), (i + 1, i)):
-        sa = perm.generator(n, a)
-        sb = perm.generator(n, b)
-        for v in orbit:
-            if perm.compose(sa, perm.compose(v, sa)) != v:
-                continue
-            m = perm.compose(sb, perm.compose(v, sb))
-            u = perm.compose(sa, perm.compose(m, sa))
-            if len({v, m, u}) != 3 or perm.compose(sb, perm.compose(u, sb)) != u:
-                continue
-            found = True
-            if (a in perm.descent_set(v)) != (b in perm.descent_set(u)):
-                return False
-    return found
-
-
 def orbit_checks(n: int) -> list[Check]:
-    """Orbit sizes are 1, 3 or 6; size-3 orbits satisfy the descent equivalence."""
+    """Orbit sizes are 1, 3 or 6; size-3 orbits satisfy the descent equivalence.
+
+    A size-3 orbit is a path v - m - u with v fixed by s_a and u by s_b, and
+    a is a descent of v exactly when b is a descent of u.
+    """
     orbits = list(pair_orbits(n))
-    sizes = Counter(len(orbit) for _, _, orbit in orbits)
+    sizes = Counter(len(walk) for _, walk, _ in orbits)
     return [
         first_failure(
             "orbit sizes in {1, 3, 6}",
             (
-                f"orbit of size {len(o)} at i={i}, w={w}"
-                for i, w, o in orbits
-                if len(o) not in (1, 3, 6)
+                f"orbit of size {len(walk)} at i={i}, w={min(walk)}"
+                for i, walk, _ in orbits
+                if len(walk) not in (1, 3, 6)
             ),
             f"orbit size counts {dict(sorted(sizes.items()))}",
         ),
         first_failure(
             "descent equivalence in size-3 orbits",
             (
-                f"fails at i={i}, orbit of {w}"
-                for i, w, o in orbits
-                if len(o) == 3 and not _descent_equivalence_holds(i, o)
+                f"fails at i={i}, orbit of {min(walk)}"
+                for i, walk, ends in orbits
+                if len(walk) == 3
+                and (ends[0] in perm.descent_set(walk[0]))
+                != (ends[1] in perm.descent_set(walk[-1]))
             ),
             f"{sizes[3]} size-3 orbits checked",
         ),

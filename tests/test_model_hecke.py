@@ -22,7 +22,7 @@ from gelfand.model_hecke import (
     type_traces,
     verify_hecke_model,
 )
-from gelfand.model_sn import model_basis, orbit_under_pair, rho_generator_matrix
+from gelfand.model_sn import model_basis, orbit_walk, rho_generator_matrix
 from gelfand.qpoly import ONE, Q, ZERO, PolyMatrix, QPoly, minus_q_power
 
 
@@ -346,9 +346,9 @@ def test_hexagonal_orbit_blocks_match_known_matrices():
     n, i = 5, 1
     basis = model_basis(n)
     lengths = involutive_order(n)
-    orbit = orbit_under_pair(i, (4, 5, 3, 1, 2))  # (1 4)(2 5)
-    assert len(orbit) == 6
-    bottom = min(orbit, key=lambda v: lengths[v])
+    walk, ends = orbit_walk(i, (4, 5, 3, 1, 2))  # (1 4)(2 5)
+    assert len(walk) == 6 and ends is None
+    bottom = min(walk, key=lambda v: lengths[v])
     s1 = perm.generator(n, i)
     s2 = perm.generator(n, i + 1)
     a = _conj(s1, bottom)
@@ -357,11 +357,38 @@ def test_hexagonal_orbit_blocks_match_known_matrices():
     b = _conj(s2, bottom)
     ba = _conj(s1, b)
     ordered = [bottom, a, ab, top, b, ba]
-    assert sorted(ordered) == sorted(orbit)
+    assert sorted(ordered) == sorted(walk)
+    k = walk.index(bottom)
+    assert list(walk[k + 1:] + walk[:k]) in ([a, ab, top, ba, b], [b, ba, top, ab, a])
     low = _block(rho_q_generator(i, basis), ordered, basis)
     high = _block(rho_q_generator(i + 1, basis), ordered, basis)
     assert low == [[_CELL[x] for x in row] for row in HEX_LOW]
     assert high == [[_CELL[x] for x in row] for row in HEX_HIGH]
+
+
+def _hexagon_swapped_grading(n):
+    # Swap the lengths of the second and third involutions round the i=1
+    # hexagon of (1 4)(2 5) from its bottom: the sorted levels stay those of
+    # a hexagon, but the cycle no longer climbs lo, lo+1, lo+2, lo+3.
+    lengths = dict(involutive_order(n))
+    walk, _ = orbit_walk(1, (4, 5, 3, 1, 2))
+    k = walk.index(min(walk, key=lengths.__getitem__))
+    a, ab = walk[(k + 1) % 6], walk[(k + 2) % 6]
+    lengths[a], lengths[ab] = lengths[ab], lengths[a]
+    return lengths, f"size-6 orbit lacks the hexagon structure: i=1, w={walk[k]}"
+
+
+def _cycle_count_grading(n):
+    # Constant on every orbit, so no size-3 orbit is a chain.
+    lengths = {w: len(perm.involution_pairs(w)) for w in model_basis(n).involutions}
+    return lengths, "size-3 orbit not a chain: i=1, levels=[1, 1, 1]"
+
+
+@pytest.mark.parametrize("wrong", [_hexagon_swapped_grading, _cycle_count_grading])
+def test_wrong_grading_fails_the_orbit_interval_check(monkeypatch, wrong):
+    lengths, witness = wrong(5)
+    monkeypatch.setattr(model_hecke, "involutive_order", lambda n: lengths)
+    assert witness in list(model_hecke._orbit_interval_witnesses(5))
 
 
 def test_poset_dot_small():

@@ -14,7 +14,7 @@ from gelfand.model_sn import (
     inv_w,
     model_basis,
     orbit_checks,
-    orbit_under_pair,
+    orbit_walk,
     pair_orbits,
     rho_character,
     rho_generator_matrix,
@@ -160,28 +160,76 @@ def test_sign_cocycle_random_triples(n):
 
 def test_orbit_size_examples():
     # support away from the acted letters
-    assert len(orbit_under_pair(1, (1, 2, 3, 5, 4))) == 1
-    assert len(orbit_under_pair(1, perm.generator(3, 1))) == 3
-    assert len(orbit_under_pair(1, (4, 5, 3, 1, 2))) == 6  # (1 4)(2 5)
+    assert orbit_walk(1, (1, 2, 3, 5, 4)) == (((1, 2, 3, 5, 4),), (2, 1))
+    walk, ends = orbit_walk(1, perm.generator(3, 1))
+    assert (len(walk), ends) == (3, (2, 1))
+    walk, ends = orbit_walk(1, (4, 5, 3, 1, 2))  # (1 4)(2 5)
+    assert (len(walk), ends) == (6, None)
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_orbit_walk_refuses_a_pair_outside_the_generators(i):
+    with pytest.raises(ValueError):
+        orbit_walk(i, (1, 2, 3, 4))
 
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_pair_orbits_cover_the_basis_once(n):
     basis = model_basis(n)
     found = {}
-    for i, w, orbit in pair_orbits(n):
-        assert w == min(orbit) and orbit == orbit_under_pair(i, w)
-        found.setdefault(i, []).append(orbit)
+    for i, walk, ends in pair_orbits(n):
+        assert orbit_walk(i, min(walk)) == (walk, ends)
+        found.setdefault(i, []).append(walk)
     assert sorted(found) == list(range(1, n - 1))
     for orbits in found.values():
-        covered = [v for orbit in orbits for v in orbit]
+        covered = [v for walk in orbits for v in walk]
         assert sorted(covered) == list(basis.involutions)
+
+
+def _conj(s, v):
+    return perm.compose(s, perm.compose(v, s))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_orbit_walk_is_the_bfs_orbit_walked_by_alternating_generators(n):
+    for i in range(1, n - 1):
+        gens = {i: perm.generator(n, i), i + 1: perm.generator(n, i + 1)}
+        for w in model_basis(n).involutions:
+            walk, ends = orbit_walk(i, w)
+            reference = perm.bfs(w, lambda v: [_conj(s, v) for s in gens.values()])
+            assert len(set(walk)) == len(walk) and set(walk) == set(reference)
+            steps = list(zip(walk, walk[1:]))
+            if ends is None:
+                steps.append((walk[-1], walk[0]))
+            else:
+                assert _conj(gens[ends[0]], walk[0]) == walk[0]
+                assert _conj(gens[ends[-1]], walk[-1]) == walk[-1]
+            used = [[g for g, s in gens.items() if _conj(s, a) == b] for a, b in steps]
+            assert all(len(u) == 1 for u in used)
+            used = [u[0] for u in used]
+            assert all(g != h for g, h in zip(used, used[1:]))
+            if ends is None:
+                assert w == walk[0] and used[0] == i and used[-1] != used[0]
+            elif used:
+                assert used[0] != ends[0] and used[-1] != ends[1]
 
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_orbit_sizes_and_descent_equivalence(n):
     checks = orbit_checks(n)
     assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+
+
+def test_wrong_descent_rule_fails_the_descent_equivalence(monkeypatch):
+    # Odd descents only: the two ends of a size-3 orbit are fixed by s_a and
+    # s_{a+-1}, which differ in parity, so the equivalence breaks.
+    monkeypatch.setattr(
+        perm, "descent_set", lambda p: {i for i in range(1, len(p), 2) if p[i - 1] > p[i]}
+    )
+    checks = {c.name: c for c in verify_sn_model(4).checks}
+    check = checks["descent equivalence in size-3 orbits"]
+    assert not check.passed
+    assert check.detail.startswith("fails at i=")
 
 
 @pytest.mark.parametrize("n,r", [(3, 3), (5, 5), (6, 3)])
