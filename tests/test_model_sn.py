@@ -203,7 +203,7 @@ def test_orbit_walk_is_the_bfs_orbit_walked_by_alternating_generators(n):
                 steps.append((walk[-1], walk[0]))
             else:
                 assert _conj(gens[ends[0]], walk[0]) == walk[0]
-                assert _conj(gens[ends[-1]], walk[-1]) == walk[-1]
+                assert _conj(gens[ends[1]], walk[-1]) == walk[-1]
             used = [[g for g, s in gens.items() if _conj(s, a) == b] for a, b in steps]
             assert all(len(u) == 1 for u in used)
             used = [u[0] for u in used]
@@ -222,7 +222,7 @@ def test_orbit_sizes_and_descent_equivalence(n):
 
 def test_wrong_descent_rule_fails_the_descent_equivalence(monkeypatch):
     # Odd descents only: the two ends of a size-3 orbit are fixed by s_a and
-    # s_{a+-1}, which differ in parity, so the equivalence breaks.
+    # s_{a-1} or s_{a+1}, which differ in parity, so the equivalence breaks.
     monkeypatch.setattr(
         perm, "descent_set", lambda p: {i for i in range(1, len(p), 2) if p[i - 1] > p[i]}
     )
