@@ -13,7 +13,6 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import model_hecke, model_sn, perm, rsk, typeb
@@ -26,21 +25,10 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    n: int
-    mu: Partition | None = None
-    lam: Partition | None = None
-    fmt: str = "text"
-    kind: str | None = None
-    scope: str | None = None
-    generator: int | None = None
-    element: tuple[int, ...] | None = None
-    seed: int = 0
-
-
-def _parse_partition(text: str, n: int, flag: str) -> Partition:
+def _parse_partition(text: str | None, n: int, flag: str) -> Partition | None:
+    """The partition given as ``flag``, or None when the flag is absent or empty."""
+    if not text:
+        return None
     try:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
@@ -55,7 +43,10 @@ def _parse_partition(text: str, n: int, flag: str) -> Partition:
     return parts
 
 
-def _parse_element(text: str, n: int, signed: bool) -> tuple[int, ...]:
+def _parse_element(text: str | None, n: int, signed: bool) -> tuple[int, ...] | None:
+    """The window given as ``--element``, or None when the flag is absent or empty."""
+    if not text:
+        return None
     try:
         vals = tuple(int(x) for x in text.split(","))
     except ValueError:
@@ -107,26 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ("dot",), "dot")
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    mu = _parse_partition(args.mu, args.n, "--mu") if getattr(args, "mu", None) else None
-    lam = _parse_partition(args.lam, args.n, "--lambda") if getattr(args, "lam", None) else None
-    element = None
-    if getattr(args, "element", None):
-        element = _parse_element(args.element, args.n, signed=args.kind == "typeb")
-    return RunConfig(
-        command=args.command,
-        n=args.n,
-        mu=mu,
-        lam=lam,
-        fmt=args.fmt,
-        kind=getattr(args, "kind", None),
-        scope=getattr(args, "scope", None),
-        generator=getattr(args, "generator", None),
-        element=element,
-        seed=getattr(args, "seed", 0),
-    )
 
 
 def _cell(key: str, value) -> str:
@@ -188,47 +159,47 @@ def _involution_records(n: int) -> Iterator[dict]:
         }
 
 
-def cmd_involutions(cfg: RunConfig) -> int:
-    require("involutions", cfg.n)
-    _emit_table(cfg.fmt, _involution_records(cfg.n))
+def cmd_involutions(args: argparse.Namespace) -> int:
+    require("involutions", args.n)
+    _emit_table(args.fmt, _involution_records(args.n))
     return 0
 
 
-def _matrix_for_config(cfg: RunConfig):
-    n = cfg.n
-    given = [x for x in (cfg.generator, cfg.element, cfg.mu) if x is not None]
-    if cfg.kind == "sn":
+def _matrix_for_args(args: argparse.Namespace):
+    n = args.n
+    given = [x for x in (args.generator, args.element, args.mu) if x is not None]
+    if args.kind == "sn":
         require("matrix_sn", n)
-        if len(given) != 1 or cfg.mu is not None:
+        if len(given) != 1 or args.mu is not None:
             raise UsageError("matrix --kind sn needs exactly one of --generator/--element")
         basis = model_sn.model_basis(n)
-        p = perm.generator(n, cfg.generator) if cfg.generator is not None else cfg.element
+        p = perm.generator(n, args.generator) if args.generator is not None else args.element
         return model_sn.rho_matrix(p, basis).to_poly_matrix()
-    if cfg.kind == "hecke":
+    if args.kind == "hecke":
         require("matrix_hecke", n)
-        if len(given) != 1 or cfg.element is not None:
+        if len(given) != 1 or args.element is not None:
             raise UsageError("matrix --kind hecke needs exactly one of --generator/--mu")
         basis = model_sn.model_basis(n)
-        if cfg.generator is not None:
-            return model_hecke.rho_q_generator(cfg.generator, basis)
-        return model_hecke.rho_q_of_word(model_hecke.t_mu_word(cfg.mu), basis)
+        if args.generator is not None:
+            return model_hecke.rho_q_generator(args.generator, basis)
+        return model_hecke.rho_q_of_word(model_hecke.t_mu_word(args.mu), basis)
     require("matrix_typeb", n)
-    if len(given) != 1 or cfg.mu is not None:
+    if len(given) != 1 or args.mu is not None:
         raise UsageError("matrix --kind typeb needs exactly one of --generator/--element")
     basis = typeb.b_model_basis(n)
-    if cfg.generator is not None:
-        return typeb.rho_b_generator(cfg.generator, basis).to_poly_matrix()
+    if args.generator is not None:
+        return typeb.rho_b_generator(args.generator, basis).to_poly_matrix()
     gens = {i: typeb.rho_b_generator(i, basis) for i in range(n)}
-    return typeb.rho_b_of_element(cfg.element, basis, gens).to_poly_matrix()
+    return typeb.rho_b_of_element(args.element, basis, gens).to_poly_matrix()
 
 
-def cmd_matrix(cfg: RunConfig) -> int:
-    if cfg.generator is not None:
-        first = 0 if cfg.kind == "typeb" else 1
-        if not first <= cfg.generator <= cfg.n - 1:
-            raise UsageError(f"--generator must be in {first}..{cfg.n - 1}")
-    mat = _matrix_for_config(cfg)
-    if cfg.fmt == "json":
+def cmd_matrix(args: argparse.Namespace) -> int:
+    if args.generator is not None:
+        first = 0 if args.kind == "typeb" else 1
+        if not first <= args.generator <= args.n - 1:
+            raise UsageError(f"--generator must be in {first}..{args.n - 1}")
+    mat = _matrix_for_args(args)
+    if args.fmt == "json":
         print(mat.to_json())
     else:
         print(f"dim {mat.dim}")
@@ -247,24 +218,24 @@ def run_suite(scope: str, n: int, seed: int = 0) -> Report:
     return verify(n, seed=seed) if scope == "sn" else verify(n)
 
 
-def _verify_reports(cfg: RunConfig) -> list[Report]:
+def _verify_reports(args: argparse.Namespace) -> list[Report]:
     """Check the guard of every requested suite, then run the suites in order.
 
     Under ``--scope all`` each suite runs at the smallest of n, its own cap
     and its oracle's cap.  Every guard is checked in the first pass, so a
     refused request does no work.
     """
-    suites = SUITES if cfg.scope == "all" else {cfg.scope: SUITES[cfg.scope]}
+    suites = SUITES if args.scope == "all" else {args.scope: SUITES[args.scope]}
     size = {}
     for s, suite in suites.items():
-        size[s] = cfg.n if s == cfg.scope else min(cfg.n, cap(suite.cap), cap(suite.oracle))
+        size[s] = args.n if s == args.scope else min(args.n, cap(suite.cap), cap(suite.oracle))
         require_suite(s, size[s])
-    return [run_suite(s, size[s], cfg.seed) for s in suites]
+    return [run_suite(s, size[s], args.seed) for s in suites]
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    reports = _verify_reports(cfg)
-    if cfg.fmt == "json":
+def cmd_verify(args: argparse.Namespace) -> int:
+    reports = _verify_reports(args)
+    if args.fmt == "json":
         payload = [r.as_dict() for r in reports]
         print(json.dumps(payload if len(payload) > 1 else payload[0], indent=2, sort_keys=True))
     else:
@@ -273,12 +244,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _character_rows(cfg: RunConfig) -> list[dict]:
+def _character_rows(args: argparse.Namespace) -> list[dict]:
     """One ``characters`` row per class, read from the model's trace table, with a match column."""
-    if cfg.kind == "sn":
-        if cfg.lam is not None:
+    if args.kind == "sn":
+        if args.lam is not None:
             raise UsageError("--lambda needs --kind hecke")
-        require("characters_sn", cfg.n)
+        require("characters_sn", args.n)
         return [
             {
                 "class": list(ct),
@@ -287,10 +258,10 @@ def _character_rows(cfg: RunConfig) -> list[dict]:
                 "formula": formula,
                 "match": tr == roots == formula,
             }
-            for ct, tr, roots, formula in model_sn.class_traces(cfg.n, cfg.mu)
+            for ct, tr, roots, formula in model_sn.class_traces(args.n, args.mu)
         ]
-    if cfg.lam is not None:
-        require("characters_lambda", cfg.n)
+    if args.lam is not None:
+        require("characters_lambda", args.n)
         return [
             {
                 "mu": list(mu),
@@ -299,26 +270,26 @@ def _character_rows(cfg: RunConfig) -> list[dict]:
                 "classical_oracle": oracle,
                 "match": val.evaluate(1) == oracle,
             }
-            for mu, val, oracle in rsk.lambda_traces(cfg.lam, cfg.mu)
+            for mu, val, oracle in rsk.lambda_traces(args.lam, args.mu)
         ]
-    require("characters_hecke", cfg.n)
-    basis = model_sn.model_basis(cfg.n)
-    gens = {i: model_hecke.rho_q_generator(i, basis) for i in range(1, cfg.n)}
+    require("characters_hecke", args.n)
+    basis = model_sn.model_basis(args.n)
+    gens = {i: model_hecke.rho_q_generator(i, basis) for i in range(1, args.n)}
     return [
         {"mu": list(mu), "trace": str(tr), "unimodal_sum": str(um), "match": tr == um}
-        for mu, tr, um in model_hecke.type_traces(basis, gens, cfg.mu)
+        for mu, tr, um in model_hecke.type_traces(basis, gens, args.mu)
     ]
 
 
-def cmd_characters(cfg: RunConfig) -> int:
-    records = _character_rows(cfg)
-    _emit_table(cfg.fmt, records)
+def cmd_characters(args: argparse.Namespace) -> int:
+    records = _character_rows(args)
+    _emit_table(args.fmt, records)
     return 0 if all(r["match"] for r in records) else 1
 
 
-def cmd_poset(cfg: RunConfig) -> int:
-    require("poset", cfg.n)
-    sys.stdout.write(model_hecke.poset_dot(cfg.n))
+def cmd_poset(args: argparse.Namespace) -> int:
+    require("poset", args.n)
+    sys.stdout.write(model_hecke.poset_dot(args.n))
     return 0
 
 
@@ -332,13 +303,17 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if cfg.n < 1:
-            raise UsageError(f"--n must be positive, got {cfg.n}")
-        return _DISPATCH[cfg.command](cfg)
+        if hasattr(args, "mu"):
+            args.mu = _parse_partition(args.mu, args.n, "--mu")
+        if hasattr(args, "lam"):
+            args.lam = _parse_partition(args.lam, args.n, "--lambda")
+        if hasattr(args, "element"):
+            args.element = _parse_element(args.element, args.n, signed=args.kind == "typeb")
+        if args.n < 1:
+            raise UsageError(f"--n must be positive, got {args.n}")
+        return _DISPATCH[args.command](args)
     except (UsageError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

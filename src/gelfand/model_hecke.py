@@ -260,6 +260,15 @@ def _orbit_interval_witnesses(n: int) -> Iterator[str]:
             yield f"orbit of size {len(walk)} at i={i}, w={min(walk)}"
 
 
+_GENERATOR_CHECKS = (
+    "quadratic relation (T + q)(T - 1) = 0 per generator",
+    "distant generators commute",
+    "braid relation for adjacent generators",
+    "q=1 specialization equals the group model generators",
+    "trace equals the signed unimodal-involution sum for every type",
+)
+
+
 def verify_hecke_model(n: int) -> Report:
     """Check the defining relations, the grading, and the trace identity."""
     require_suite("hecke", n)
@@ -294,15 +303,11 @@ def verify_hecke_model(n: int) -> Report:
         )
     )
 
+    tops = {v for _, _, v in cover_edges(n)}
     checks.append(
         first_failure(
             "every non-minimal involution has a downward cover",
-            (
-                f"fails at w={w}"
-                for w in basis.involutions
-                if lengths[w] > 0
-                and not any(order_relation(w, i) == "down" for i in range(1, n))
-            ),
+            (f"fails at w={w}" for w in basis.involutions if lengths[w] > 0 and w not in tops),
         )
     )
     checks.append(
@@ -311,7 +316,12 @@ def verify_hecke_model(n: int) -> Report:
         )
     )
 
-    gens = {i: rho_q_generator(i, basis) for i in range(1, n)}
+    try:
+        gens = {i: rho_q_generator(i, basis) for i in range(1, n)}
+    except InternalConsistencyError as exc:
+        # No T_i without the grading, so every check below fails on it.
+        checks.extend(Check(name, False, f"T_i not built: {exc}") for name in _GENERATOR_CHECKS)
+        return Report("hecke", n, tuple(checks))
     ident = PolyMatrix.identity(basis.dim)
     checks.extend(
         relation_checks(

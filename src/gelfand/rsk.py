@@ -221,8 +221,7 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     for b in beta:
         if b >= k and (b - k) not in beta_set:
             height = sum(1 for c in beta if b - k < c < b)
-            new_beta = tuple(sorted((c for c in beta if c != b), reverse=True))
-            new_beta = tuple(sorted(new_beta + (b - k,), reverse=True))
+            new_beta = tuple(sorted([c for c in beta if c != b] + [b - k], reverse=True))
             total += (-1) ** height * mn_character(_beta_to_partition(new_beta), rest)
     return total
 
@@ -278,22 +277,18 @@ def verify_rsk(n: int) -> Report:
     """Insertion properties, the tableau-count identities, and the character
     cross-checks, each only at the n where its sweep stays cheap.
 
-    All 7 checks run at n <= 5.  At n = 6 three run: the insertion sweep
-    over S_6, the tableau count and the fixed-point report.  At n = 7 and 8
-    only the last two run.  The report does not yet mark the others as
-    skipped.
+    All 7 checks run at n <= 5.  At n = 6, 7 and 8 three run: the insertion
+    sweep over S_n, the tableau count and the fixed-point report.  The
+    report does not yet mark the other four as skipped.
     """
     require_suite("rsk", n)
-    checks: list[Check] = []
-
-    if n <= 6:
-        checks.append(
-            first_failure(
-                "insertion is injective with symmetric, descent-compatible output",
-                _insertion_witnesses(n),
-                f"all {factorial(n)} permutations",
-            )
+    checks = [
+        first_failure(
+            "insertion is injective with symmetric, descent-compatible output",
+            _insertion_witnesses(n),
+            f"all {factorial(n)} permutations",
         )
+    ]
 
     total_syt = sum(len(enumerate_syt(lam)) for lam in perm.partitions(n))
     n_inv = len(perm.enumerate_involutions(n))

@@ -450,6 +450,18 @@ def test_matrix_requires_one_selector(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args, empty",
+    [
+        (("characters", "--kind", "hecke", "--n", "3"), ("--mu=", "--lambda=")),
+        (("matrix", "--kind", "sn", "--n", "3", "--generator", "1"), ("--element=",)),
+        (("matrix", "--kind", "hecke", "--n", "3", "--generator", "1"), ("--mu=",)),
+    ],
+)
+def test_empty_flag_counts_as_absent(capsys, args, empty):
+    assert run(capsys, *args, *empty) == run(capsys, *args)
+
+
 def test_bad_element_is_usage_error(capsys):
     code, _, err = run(capsys, "matrix", "--kind", "sn", "--n", "3", "--element", "3,3,1")
     assert code == 2

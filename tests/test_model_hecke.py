@@ -391,6 +391,26 @@ def test_wrong_grading_fails_the_orbit_interval_check(monkeypatch, wrong):
     assert witness in list(model_hecke._orbit_interval_witnesses(5))
 
 
+def test_wrong_grading_is_reported_not_raised(monkeypatch, capsys):
+    lengths, orbit_witness = _cycle_count_grading(5)
+    names = [c.name for c in verify_hecke_model(5).checks]
+    monkeypatch.setattr(model_hecke, "involutive_order", lambda n: lengths)
+    assert cli.main(["verify", "--scope", "hecke", "--n", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("verify hecke n=5: FAIL (9 checks)\n")
+    report = verify_hecke_model(5)
+    assert [c.name for c in report.checks] == names
+    detail = {c.name: c.detail for c in report.checks if not c.passed}
+    moved = "conjugation by s_3 changes the involutive length of (1, 2, 3, 5, 4) by 0"
+    assert detail.pop(names[1]) == moved
+    assert detail.pop(names[2]) == "fails at w=(1, 2, 3, 5, 4)"
+    assert detail.pop(names[3]) == orbit_witness
+    # Every check that needs the T_i matrices fails on the grading that built none.
+    assert list(detail) == names[4:]
+    assert all(d.startswith("T_i not built: conjugation by s_1") for d in detail.values())
+
+
 def test_poset_dot_small():
     d2 = poset_dot(2)
     assert " -> " not in d2

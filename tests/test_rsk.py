@@ -273,7 +273,7 @@ def test_fixedpoint_vs_oddcolumns_passes(n):
     assert involution_fixedpoint_vs_oddcolumns(n).passed
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 8))
 def test_verify_rsk_passes(n):
     report = verify_rsk(n)
     assert report.passed, report.text()
