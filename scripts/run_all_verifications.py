@@ -8,7 +8,7 @@ anything fails.
 import argparse
 
 from gelfand.cli import run_suite
-from gelfand.errors import CAPS, SUITES
+from gelfand.errors import SUITES, cap
 
 
 def main() -> int:
@@ -16,12 +16,10 @@ def main() -> int:
     parser.add_argument("--verbose", action="store_true", help="print every check")
     args = parser.parse_args()
 
-    # Each suite from its smallest n to its cap as written in the table, so
-    # GELFAND_CAP does not widen the sweep.
     reports = [
         run_suite(scope, n)
         for scope, suite in SUITES.items()
-        for n in range(suite.smallest, CAPS[suite.cap][0] + 1)
+        for n in range(suite.smallest, cap(suite.cap) + 1)
     ]
 
     failed = 0

@@ -26,8 +26,8 @@ class UsageError(Exception):
 
 
 def _parse_partition(text: str | None, n: int, flag: str) -> Partition | None:
-    """The partition given as ``flag``, or None when the flag is absent or empty."""
-    if not text:
+    """The partition given as ``flag``, or None when the flag is absent."""
+    if text is None:
         return None
     try:
         parts = tuple(int(x) for x in text.split(","))
@@ -44,8 +44,8 @@ def _parse_partition(text: str | None, n: int, flag: str) -> Partition | None:
 
 
 def _parse_element(text: str | None, n: int, signed: bool) -> tuple[int, ...] | None:
-    """The window given as ``--element``, or None when the flag is absent or empty."""
-    if not text:
+    """The window given as ``--element``, or None when the flag is absent."""
+    if text is None:
         return None
     try:
         vals = tuple(int(x) for x in text.split(","))
@@ -221,14 +221,14 @@ def run_suite(scope: str, n: int, seed: int = 0) -> Report:
 def _verify_reports(args: argparse.Namespace) -> list[Report]:
     """Check the guard of every requested suite, then run the suites in order.
 
-    Under ``--scope all`` each suite runs at the smallest of n, its own cap
-    and its oracle's cap.  Every guard is checked in the first pass, so a
-    refused request does no work.
+    Under ``--scope all`` each suite runs at the smaller of n and its oracle
+    cap.  Every guard is checked in the first pass, so a refused request does
+    no work.
     """
     suites = SUITES if args.scope == "all" else {args.scope: SUITES[args.scope]}
     size = {}
     for s, suite in suites.items():
-        size[s] = args.n if s == args.scope else min(args.n, cap(suite.cap), cap(suite.oracle))
+        size[s] = args.n if s == args.scope else min(args.n, cap(suite.cap))
         require_suite(s, size[s])
     return [run_suite(s, size[s], args.seed) for s in suites]
 
@@ -249,7 +249,6 @@ def _character_rows(args: argparse.Namespace) -> list[dict]:
     if args.kind == "sn":
         if args.lam is not None:
             raise UsageError("--lambda needs --kind hecke")
-        require("characters_sn", args.n)
         return [
             {
                 "class": list(ct),

@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from gelfand import model_hecke, model_sn, rsk, typeb
 from gelfand.errors import CAPS, SUITES, CapacityError, cap, require
 
 ORACLE_CAPS = {"square_roots": 9, "b_square_roots": 5, "length_oracle": 8, "fixedpoint_report": 8}
+SRC = Path(__file__).resolve().parent.parent / "src" / "gelfand"
 
 
 def test_gelfand_cap_raises_runtime_caps_only(monkeypatch):
@@ -28,23 +32,24 @@ def test_library_refusals_use_the_table_text(monkeypatch):
     monkeypatch.delenv("GELFAND_CAP", raising=False)
     with pytest.raises(CapacityError) as exc:
         typeb.verify_b_model(6)
-    assert str(exc.value) == "typeb verification is capped at n=5 (got n=6); set GELFAND_CAP to raise"
+    assert str(exc.value) == "square root enumeration in B_n is capped at n=5 (got n=6)"
     with pytest.raises(CapacityError) as exc:
         require("fixedpoint_report", 9)
-    assert str(exc.value) == "report capped at n=8, got 9"
+    assert str(exc.value) == "fixed-point report is capped at n=8 (got n=9)"
 
 
-def test_library_honours_gelfand_cap(monkeypatch):
-    # hecke's table cap (6) is below its oracle cap (8), so the raise shows
-    monkeypatch.setenv("GELFAND_CAP", "7")
-    assert model_hecke.verify_hecke_model(7).passed
+def test_library_ignores_gelfand_cap(monkeypatch):
+    monkeypatch.setenv("GELFAND_CAP", "12")
+    with pytest.raises(CapacityError) as exc:
+        model_hecke.verify_hecke_model(9)
+    assert str(exc.value) == "involutive length oracle is capped at n=8 (got n=9)"
 
 
 @pytest.mark.parametrize(
     "verify, n, message",
     [
-        (model_sn.verify_sn_model, 1, "verify_sn_model needs 2 <= n <= 8, got 1"),
-        (model_hecke.verify_hecke_model, 1, "verify_hecke_model needs 2 <= n <= 6, got 1"),
+        (model_sn.verify_sn_model, 1, "verify_sn_model needs 2 <= n <= 9, got 1"),
+        (model_hecke.verify_hecke_model, 1, "verify_hecke_model needs 2 <= n <= 8, got 1"),
         (rsk.verify_rsk, 0, "verify_rsk needs 1 <= n <= 8, got 0"),
         (typeb.verify_b_model, 0, "verify_b_model needs 1 <= n <= 5, got 0"),
     ],
@@ -56,7 +61,30 @@ def test_library_refuses_an_n_below_each_suite(monkeypatch, verify, n, message):
     assert str(exc.value) == message
 
 
-def test_suite_rows_name_table_caps():
+def test_suite_rows_name_oracle_caps():
     for scope, suite in SUITES.items():
-        assert {suite.cap, suite.oracle} <= set(CAPS), scope
-        assert suite.smallest <= CAPS[suite.cap][0] <= CAPS[suite.oracle][0], scope
+        assert suite.cap in ORACLE_CAPS, scope
+        assert suite.smallest <= CAPS[suite.cap][0], scope
+
+
+def _required_rows(path: Path) -> list[str]:
+    """The row named by each ``require("<row>", ...)`` call in the module at ``path``."""
+    return [
+        node.args[0].value
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "require"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    ]
+
+
+def test_the_library_reads_oracle_caps_and_the_cli_runtime_caps():
+    named = {path.name: _required_rows(path) for path in SRC.glob("*.py")}
+    cli_rows = set(named.pop("cli.py"))
+    library_rows = {row for rows in named.values() for row in rows}
+    suite_rows = {suite.cap for suite in SUITES.values()}
+    assert library_rows and library_rows <= set(ORACLE_CAPS)
+    assert cli_rows and cli_rows <= set(CAPS) - set(ORACLE_CAPS)
+    assert suite_rows <= set(ORACLE_CAPS)
+    assert library_rows | cli_rows | suite_rows == set(CAPS)

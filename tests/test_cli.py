@@ -195,7 +195,8 @@ def test_characters_sn_refuses_the_square_root_cap_before_building_the_basis(cap
     monkeypatch.setenv("GELFAND_CAP", "10")
     model_sn.model_basis.cache_clear()
     code, out, err = run(capsys, "characters", "--kind", "sn", "--n", "10")
-    assert (code, out, err) == (2, "", "error: square root enumeration capped at n=9, got 10\n")
+    message = "error: square root enumeration in S_n is capped at n=9 (got n=10)\n"
+    assert (code, out, err) == (2, "", message)
     assert model_sn.model_basis.cache_info().misses == 0
 
 
@@ -420,8 +421,8 @@ def test_seed_and_slow_belong_to_verify_only(capsys, flag):
 )
 @pytest.mark.parametrize("slow", [(), ("--slow",)], ids=["plain", "slow"])
 def test_slow_flag_is_a_no_op(capsys, monkeypatch, args, reference, slow):
-    # Without GELFAND_CAP both run at their one cap, and match with or
-    # without --slow the stdout that perfbench pins for its --slow argv.
+    # Without GELFAND_CAP both run, and match with or without --slow the
+    # stdout that perfbench pins for its --slow argv.
     monkeypatch.delenv("GELFAND_CAP", raising=False)
     pinned = json.loads((ROOT / "perfbench" / "reference.json").read_text())[reference]
     code, out, err = run(capsys, "verify", *args, *slow)
@@ -451,15 +452,17 @@ def test_matrix_requires_one_selector(capsys):
 
 
 @pytest.mark.parametrize(
-    "args, empty",
+    "args, flag",
     [
-        (("characters", "--kind", "hecke", "--n", "3"), ("--mu=", "--lambda=")),
-        (("matrix", "--kind", "sn", "--n", "3", "--generator", "1"), ("--element=",)),
-        (("matrix", "--kind", "hecke", "--n", "3", "--generator", "1"), ("--mu=",)),
+        (("characters", "--kind", "hecke", "--n", "3", "--mu=", "--lambda="), "--mu"),
+        (("characters", "--kind", "hecke", "--n", "3", "--lambda="), "--lambda"),
+        (("matrix", "--kind", "sn", "--n", "3", "--generator", "1", "--element="), "--element"),
+        (("matrix", "--kind", "hecke", "--n", "3", "--generator", "1", "--mu="), "--mu"),
     ],
 )
-def test_empty_flag_counts_as_absent(capsys, args, empty):
-    assert run(capsys, *args, *empty) == run(capsys, *args)
+def test_empty_flag_is_refused(capsys, args, flag):
+    message = f"error: {flag} must be comma-separated integers, got ''\n"
+    assert run(capsys, *args) == (2, "", message)
 
 
 def test_bad_element_is_usage_error(capsys):
@@ -471,11 +474,14 @@ def test_bad_element_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (("--scope", "typeb", "--n", "6"), "square root enumeration capped at n=5"),
-        (("--scope", "hecke", "--n", "9"), "involutive length oracle capped at n=8"),
-        (("--scope", "sn", "--n", "10"), "square root enumeration capped at n=9, got 10"),
-        (("--scope", "rsk", "--n", "9"), "report capped at n=8, got 9"),
-        (("--scope", "typeb", "--n", "6", "--slow"), "square root enumeration capped at n=5"),
+        (("--scope", "typeb", "--n", "6"), "square root enumeration in B_n is capped at n=5 (got n=6)"),
+        (("--scope", "hecke", "--n", "9"), "involutive length oracle is capped at n=8 (got n=9)"),
+        (("--scope", "sn", "--n", "10"), "square root enumeration in S_n is capped at n=9 (got n=10)"),
+        (("--scope", "rsk", "--n", "9"), "fixed-point report is capped at n=8 (got n=9)"),
+        (
+            ("--scope", "typeb", "--n", "6", "--slow"),
+            "square root enumeration in B_n is capped at n=5 (got n=6)",
+        ),
     ],
 )
 def test_oracle_caps_refused_before_any_suite_runs(capsys, monkeypatch, args, message):

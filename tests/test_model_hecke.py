@@ -430,7 +430,7 @@ def test_verify_hecke_model_passes(n):
 
 def test_verify_hecke_cap():
     with pytest.raises(CapacityError):
-        verify_hecke_model(7)
+        verify_hecke_model(9)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -255,7 +255,7 @@ def test_verify_sn_model_passes(n):
 
 def test_verify_sn_cap():
     with pytest.raises(CapacityError):
-        verify_sn_model(9)
+        verify_sn_model(10)
     with pytest.raises(CapacityError):
         verify_sn_model(1)
 
