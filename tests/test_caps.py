@@ -61,7 +61,7 @@ def test_library_refuses_an_n_below_each_suite(monkeypatch, verify, n, message):
     assert str(exc.value) == message
 
 
-def test_suite_rows_name_oracle_caps():
+def test_suite_rows_name_table_caps():
     for scope, suite in SUITES.items():
         assert suite.cap in ORACLE_CAPS, scope
         assert suite.smallest <= CAPS[suite.cap][0], scope

@@ -455,9 +455,9 @@ def test_matrix_requires_one_selector(capsys):
     "args, flag",
     [
         (("characters", "--kind", "hecke", "--n", "3", "--mu=", "--lambda="), "--mu"),
-        (("characters", "--kind", "hecke", "--n", "3", "--lambda="), "--lambda"),
         (("matrix", "--kind", "sn", "--n", "3", "--generator", "1", "--element="), "--element"),
         (("matrix", "--kind", "hecke", "--n", "3", "--generator", "1", "--mu="), "--mu"),
+        (("characters", "--kind", "hecke", "--n", "3", "--lambda="), "--lambda"),
     ],
 )
 def test_empty_flag_is_refused(capsys, args, flag):
