@@ -8,7 +8,7 @@ anything fails.
 import argparse
 
 from gelfand.cli import run_suite
-from gelfand.errors import SUITES, cap
+from gelfand.errors import CAPS, SUITES
 
 
 def main() -> int:
@@ -19,7 +19,7 @@ def main() -> int:
     reports = [
         run_suite(scope, n)
         for scope, suite in SUITES.items()
-        for n in range(suite.smallest, cap(suite.cap) + 1)
+        for n in range(suite.smallest, CAPS[suite.cap][0] + 1)
     ]
 
     failed = 0

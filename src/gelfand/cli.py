@@ -16,7 +16,7 @@ import sys
 from typing import Iterable, Iterator
 
 from . import model_hecke, model_sn, perm, rsk, typeb
-from .errors import SUITES, CapacityError, InternalConsistencyError, cap, require, require_suite
+from .errors import CAPS, SUITES, CapacityError, InternalConsistencyError, require, require_suite
 from .perm import Partition
 from .report import Report
 
@@ -196,6 +196,8 @@ def _matrix_for_args(args: argparse.Namespace):
 def cmd_matrix(args: argparse.Namespace) -> int:
     if args.generator is not None:
         first = 0 if args.kind == "typeb" else 1
+        if first > args.n - 1:
+            raise UsageError("S_1 has no generators; --generator needs n >= 2")
         if not first <= args.generator <= args.n - 1:
             raise UsageError(f"--generator must be in {first}..{args.n - 1}")
     mat = _matrix_for_args(args)
@@ -228,7 +230,7 @@ def _verify_reports(args: argparse.Namespace) -> list[Report]:
     suites = SUITES if args.scope == "all" else {args.scope: SUITES[args.scope]}
     size = {}
     for s, suite in suites.items():
-        size[s] = args.n if s == args.scope else min(args.n, cap(suite.cap))
+        size[s] = args.n if s == args.scope else min(args.n, CAPS[suite.cap][0])
         require_suite(s, size[s])
     return [run_suite(s, size[s], args.seed) for s in suites]
 

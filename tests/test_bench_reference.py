@@ -2,11 +2,12 @@
 
 The benchmark counts a call as failed when its exit code or stdout sha256
 differs from that record, so a change to any pinned output fails here
-first.  Each argv runs in process with ``GELFAND_CAP`` set to its ``--n``,
-as ``perfbench/run.py`` sets it for its child processes.  The record is
-only read.  Nine of the ten seeded ``verify --scope sn`` calls differ only
-in their sampled pairs and take most of the time, so they run under
-``--runslow``.
+first.  Each argv runs in process with ``GELFAND_CAP`` unset: every pinned
+``--n`` is within the fixed cap table, and the CLI reads no environment
+variable, so the ``GELFAND_CAP`` that ``perfbench/run.py`` sets for its child
+processes changes nothing.  The record is only read.  Nine of the ten seeded
+``verify --scope sn`` calls differ only in their sampled pairs and take most
+of the time, so they run under ``--runslow``.
 """
 
 import hashlib
@@ -29,9 +30,8 @@ def _case(args: str):
 
 @pytest.mark.parametrize("args", [_case(args) for args in REFERENCE])
 def test_pinned_benchmark_output(args, capsys, monkeypatch):
-    argv = args.split()
-    monkeypatch.setenv("GELFAND_CAP", argv[argv.index("--n") + 1])
-    code = main(argv)
+    monkeypatch.delenv("GELFAND_CAP", raising=False)
+    code = main(args.split())
     out = capsys.readouterr().out.encode()
     expected = REFERENCE[args]
     assert (code, len(out), hashlib.sha256(out).hexdigest()) == (

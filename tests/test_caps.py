@@ -4,32 +4,14 @@ from pathlib import Path
 import pytest
 
 from gelfand import model_hecke, model_sn, rsk, typeb
-from gelfand.errors import CAPS, SUITES, CapacityError, cap, require
+from gelfand.errors import CAPS, SUITES, CapacityError, require
 
 ORACLE_CAPS = {"square_roots": 9, "b_square_roots": 5, "length_oracle": 8, "fixedpoint_report": 8}
-SRC = Path(__file__).resolve().parent.parent / "src" / "gelfand"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gelfand"
 
 
-def test_gelfand_cap_raises_runtime_caps_only(monkeypatch):
-    monkeypatch.setenv("GELFAND_CAP", "12")
-    for name in CAPS:
-        assert cap(name) == ORACLE_CAPS.get(name, 12), name
-
-
-def test_gelfand_cap_never_lowers_a_cap(monkeypatch):
-    monkeypatch.setenv("GELFAND_CAP", "1")
-    assert {name: cap(name) for name in CAPS} == {name: CAPS[name][0] for name in CAPS}
-
-
-def test_bad_gelfand_cap_is_refused_where_it_applies(monkeypatch):
-    monkeypatch.setenv("GELFAND_CAP", "x")
-    with pytest.raises(CapacityError, match="GELFAND_CAP must be an integer, got 'x'"):
-        cap("poset")
-    assert cap("square_roots") == 9
-
-
-def test_library_refusals_use_the_table_text(monkeypatch):
-    monkeypatch.delenv("GELFAND_CAP", raising=False)
+def test_library_refusals_use_the_table_text():
     with pytest.raises(CapacityError) as exc:
         typeb.verify_b_model(6)
     assert str(exc.value) == "square root enumeration in B_n is capped at n=5 (got n=6)"
@@ -43,6 +25,17 @@ def test_library_ignores_gelfand_cap(monkeypatch):
     with pytest.raises(CapacityError) as exc:
         model_hecke.verify_hecke_model(9)
     assert str(exc.value) == "involutive length oracle is capped at n=8 (got n=9)"
+    with pytest.raises(CapacityError) as exc:
+        require("poset", 12)
+    assert str(exc.value) == "poset export is capped at n=11 (got n=12)"
+
+
+def test_every_row_refuses_in_one_format():
+    for name, (largest, what) in CAPS.items():
+        require(name, largest)
+        with pytest.raises(CapacityError) as exc:
+            require(name, largest + 1)
+        assert str(exc.value) == f"{what} is capped at n={largest} (got n={largest + 1})"
 
 
 @pytest.mark.parametrize(
@@ -54,8 +47,7 @@ def test_library_ignores_gelfand_cap(monkeypatch):
         (typeb.verify_b_model, 0, "verify_b_model needs 1 <= n <= 5, got 0"),
     ],
 )
-def test_library_refuses_an_n_below_each_suite(monkeypatch, verify, n, message):
-    monkeypatch.delenv("GELFAND_CAP", raising=False)
+def test_library_refuses_an_n_below_each_suite(verify, n, message):
     with pytest.raises(CapacityError) as exc:
         verify(n)
     assert str(exc.value) == message
@@ -88,3 +80,21 @@ def test_the_library_reads_oracle_caps_and_the_cli_runtime_caps():
     assert cli_rows and cli_rows <= set(CAPS) - set(ORACLE_CAPS)
     assert suite_rows <= set(ORACLE_CAPS)
     assert library_rows | cli_rows | suite_rows == set(CAPS)
+
+
+def _environment_reads(path: Path) -> list[str]:
+    """Each ``os.environ`` / ``os.getenv`` use, or import of them, in the module at ``path``."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append(f"{path.name}:{node.lineno} {node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in names]
+    return found
+
+
+def test_no_module_reads_the_environment():
+    modules = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    assert len(modules) > 10
+    assert [hit for path in modules for hit in _environment_reads(path)] == []

@@ -189,10 +189,9 @@ def test_characters_mismatch_exit(capsys, monkeypatch, table, fmt):
     assert ('"match": false' if fmt == "json" else "MISMATCH") in out
 
 
-def test_characters_sn_refuses_the_square_root_cap_before_building_the_basis(capsys, monkeypatch):
+def test_characters_sn_refuses_the_square_root_cap_before_building_the_basis(capsys):
     from gelfand import model_sn
 
-    monkeypatch.setenv("GELFAND_CAP", "10")
     model_sn.model_basis.cache_clear()
     code, out, err = run(capsys, "characters", "--kind", "sn", "--n", "10")
     message = "error: square root enumeration in S_n is capped at n=9 (got n=10)\n"
@@ -284,7 +283,6 @@ def test_one_wrong_trace_row_fails_verify_and_characters(capsys, monkeypatch, ta
 def test_broken_pipe_exits_quietly(fmt, first):
     # csv and json write while they compute, so the reader closes mid-stream.
     env = dict(os.environ)
-    env.pop("GELFAND_CAP", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "gelfand.cli", "involutions", "--n", "9", "--format", fmt],
@@ -356,7 +354,6 @@ def test_listing_cycles_are_the_cycle_notation(n):
 def test_streamed_listing_memory_stays_flat(monkeypatch, fmt):
     # Building every record before writing peaked at 14 MB (csv) and 42 MB
     # (json) on this call; streaming keeps little more than the involutions.
-    monkeypatch.setenv("GELFAND_CAP", "10")
     with open(os.devnull, "w") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
@@ -420,10 +417,9 @@ def test_seed_and_slow_belong_to_verify_only(capsys, flag):
     ],
 )
 @pytest.mark.parametrize("slow", [(), ("--slow",)], ids=["plain", "slow"])
-def test_slow_flag_is_a_no_op(capsys, monkeypatch, args, reference, slow):
-    # Without GELFAND_CAP both run, and match with or without --slow the
-    # stdout that perfbench pins for its --slow argv.
-    monkeypatch.delenv("GELFAND_CAP", raising=False)
+def test_slow_flag_is_a_no_op(capsys, args, reference, slow):
+    # Both match, with or without --slow, the stdout that perfbench pins for
+    # its --slow argv.
     pinned = json.loads((ROOT / "perfbench" / "reference.json").read_text())[reference]
     code, out, err = run(capsys, "verify", *args, *slow)
     assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, pinned["sha256"], "")
@@ -494,7 +490,6 @@ def test_oracle_caps_refused_before_any_suite_runs(capsys, monkeypatch, args, me
     monkeypatch.setattr(model_hecke, "verify_hecke_model", must_not_run)
     monkeypatch.setattr(rsk, "verify_rsk", must_not_run)
     monkeypatch.setattr(typeb, "verify_b_model", must_not_run)
-    monkeypatch.setenv("GELFAND_CAP", "12")
     code, out, err = run(capsys, "verify", *args)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -510,14 +505,12 @@ def test_scope_all_runs_each_suite_within_its_oracle_cap(capsys, monkeypatch, n,
     from gelfand.report import Report
 
     monkeypatch.setattr(cli, "run_suite", lambda scope, m, seed=0: Report(scope, m, ()))
-    monkeypatch.setenv("GELFAND_CAP", "12")
     code, out, err = run(capsys, "verify", "--scope", "all", "--n", str(n), "--format", "json")
     assert (code, err) == (0, "")
     assert [(r["scope"], r["n"]) for r in json.loads(out)] == list(sizes.items())
 
 
-def test_env_cap_raises_limit(capsys, monkeypatch):
-    monkeypatch.setenv("GELFAND_CAP", "10")
+def test_involutions_csv_has_one_row_per_involution(capsys):
     code, out, _ = run(capsys, "involutions", "--n", "10", "--format", "csv")
     assert code == 0
     assert len(out.strip().splitlines()) == 9497  # I(10) rows plus header

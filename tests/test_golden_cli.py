@@ -1,10 +1,13 @@
 """Byte-level guard on the CLI: exit code, stdout digest and exact stderr.
 
 Each case in ``data/golden_cli.json`` is one ``gelfand`` invocation, run in
-process with ``GELFAND_CAP`` set as the case says (unset otherwise).  The
-expectations were recorded from the CLI before the cap table and the shared
-relation checks replaced their per-module copies, so a refactor that changes
-one output byte, exit code or refusal text fails here.
+process with the environment variables the case names.  The CLI reads none,
+so the cases that set ``GELFAND_CAP`` (a knob it once had) pin that the
+variable changes nothing.  One refusal case per ``errors.CAPS`` command row,
+at its cap + 1, pins the fixed cap table.  The expectations were first
+recorded before the cap table and the shared relation checks replaced their
+per-module copies, so a refactor that changes one output byte, exit code or
+refusal text fails here.
 
 After an intended output change, re-record with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` and review the diff.
@@ -17,6 +20,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -37,7 +41,6 @@ def _digest(text: str) -> str:
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_golden_cli(case, capsys, monkeypatch):
-    monkeypatch.delenv("GELFAND_CAP", raising=False)
     for key, value in case["env"].items():
         monkeypatch.setenv(key, value)
     code = main(case["args"])
@@ -46,19 +49,13 @@ def test_golden_cli(case, capsys, monkeypatch):
 
 
 def _record() -> None:
-    saved = os.environ.pop("GELFAND_CAP", None)
-    try:
-        for case in CASES:
-            os.environ.update(case["env"])
-            out, err = io.StringIO(), io.StringIO()
+    for case in CASES:
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, case["env"]):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 case["exit"] = main(case["args"])
-            case["stdout_sha256"] = _digest(out.getvalue())
-            case["stderr"] = err.getvalue()
-            os.environ.pop("GELFAND_CAP", None)
-    finally:
-        if saved is not None:
-            os.environ["GELFAND_CAP"] = saved
+        case["stdout_sha256"] = _digest(out.getvalue())
+        case["stderr"] = err.getvalue()
     DATA.write_text("[\n" + ",\n".join(json.dumps(case) for case in CASES) + "\n]\n")
     print(f"recorded {len(CASES)} cases to {DATA}", file=sys.stderr)
 

@@ -11,7 +11,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _script(*args):
     env = dict(os.environ)
-    env.pop("GELFAND_CAP", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return [sys.executable, str(ROOT / "scripts" / args[0]), *args[1:]], env
 
