@@ -14,7 +14,7 @@ class InternalConsistencyError(RuntimeError):
 # Largest n of each capped computation, and what its refusal names.  The
 # command caps are read by the CLI alone.  Each is the largest n whose slowest
 # call shape runs cold in under 10 s at under 500 MB peak RSS on a 2-CPU host,
-# the median of 3 runs (BENCH_15.json).  The oracle caps bound the exhaustive
+# the median of 3 alternating runs (BENCH_15.json).  The oracle caps bound the exhaustive
 # sweeps of S_9 and B_5, the length BFS and the fixed-point report; each verify
 # suite runs under one of them.  ``fixedpoint_report`` also bounds
 # verify_rsk's insertion sweep of S_n.  No cap can be raised from outside.
