@@ -4,10 +4,9 @@ Each case in ``data/golden_cli.json`` is one ``gelfand`` invocation, run in
 process with the environment variables the case names.  The CLI reads none,
 so the cases that set ``GELFAND_CAP`` pin that the variable changes nothing.
 One refusal case per ``errors.CAPS`` command row, at its cap + 1, pins the
-fixed cap table.  The expectations were first
-recorded before the cap table and the shared relation checks replaced their
-per-module copies, so a refactor that changes one output byte, exit code or
-refusal text fails here.
+fixed cap table.  The expectations were first recorded before the cap table
+and the shared relation checks replaced their per-module copies, so a
+refactor that changes one output byte, exit code or refusal text fails here.
 
 After an intended output change, re-record with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` and review the diff.
