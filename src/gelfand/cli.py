@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
 from typing import Iterable, Iterator
@@ -101,40 +100,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cell(key: str, value) -> str:
-    """Text and csv rendering of one record field."""
+    """Text and csv rendering of one ``characters`` field."""
     if key == "match":
         return "ok" if value else "MISMATCH"
-    if key == "descents":
-        return " ".join(map(str, value)) or "-"
-    if key == "pairs":
-        return "".join(f"({a},{b})" for a, b in value) or "-"
     if isinstance(value, list):
         return ",".join(map(str, value))
     return str(value)
 
 
-def _emit_table(fmt: str, records: Iterable[dict]) -> None:
-    """Print the records as JSON, or one table row each with their keys as header.
-
-    JSON and csv are written one record at a time, as the records arrive.
-    The text table needs its column widths first, so it reads them all.
-    """
-    out = sys.stdout
-    if fmt == "json":
-        # The bytes of print(json.dumps(list(records), indent=2, sort_keys=True)).
-        opened = False
-        for r in records:
-            out.write(",\n  " if opened else "[\n  ")
-            out.write(json.dumps(r, indent=2, sort_keys=True).replace("\n", "\n  "))
-            opened = True
-        out.write("\n]\n" if opened else "[]\n")
-        return
-    records = iter(records)
-    first = next(records)
-    header = list(first)
-    rows = ([_cell(k, r[k]) for k in header] for r in itertools.chain([first], records))
+def _emit_rows(fmt: str, header: list[str], rows: Iterable[list[str]]) -> None:
+    """Print a header and rows of cells as csv, row by row, or as a text table (reads all rows)."""
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
         return
@@ -143,6 +120,16 @@ def _emit_table(fmt: str, records: Iterable[dict]) -> None:
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
     for r in rows:
         print("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip())
+
+
+def _emit_table(fmt: str, records: Iterable[dict]) -> None:
+    """Print the records as JSON, or one table row each with their keys as header."""
+    records = list(records)
+    if fmt == "json":
+        print(json.dumps(records, indent=2, sort_keys=True))
+    else:
+        header = list(records[0])
+        _emit_rows(fmt, header, ([_cell(k, r[k]) for k in header] for r in records))
 
 
 def _involution_records(n: int) -> Iterator[dict]:
@@ -159,9 +146,46 @@ def _involution_records(n: int) -> Iterator[dict]:
         }
 
 
+def _listing_row(r: dict) -> list[str]:
+    """The text and csv cells of one listing record, in its key order."""
+    return [
+        str(r["index"]),
+        ",".join(map(str, r["window"])),
+        r["cycles"],
+        str(r["length"]),
+        " ".join(map(str, r["descents"])) or "-",
+        "".join(f"({a},{b})" for a, b in r["pairs"]) or "-",
+    ]
+
+
+def _json_list(items, pad: str) -> str:
+    """``str`` of each item, in a list as ``json.dumps(indent=2)`` lays it out, items at ``pad``."""
+    return f"[{pad}{(',' + pad).join(map(str, items))}{pad[:-2]}]" if items else "[]"
+
+
+def _listing_json(r: dict) -> str:
+    """``[`` or ``,``, then one record laid out as by ``json.dumps(indent=2, sort_keys=True)``."""
+    pad = "\n      "
+    pairs = [_json_list(p, pad + "  ") for p in r["pairs"]]
+    return (
+        '%s\n  {\n    "cycles": "%s",\n    "descents": %s,\n    "index": %d,\n    "length": %d,\n'
+        '    "pairs": %s,\n    "window": %s\n  }'
+    ) % (
+        "," if r["index"] else "[", r["cycles"], _json_list(r["descents"], pad), r["index"],
+        r["length"], _json_list(pairs, pad), _json_list(r["window"], pad),
+    )
+
+
 def cmd_involutions(args: argparse.Namespace) -> int:
     require("involutions", args.n)
-    _emit_table(args.fmt, _involution_records(args.n))
+    records = _involution_records(args.n)
+    if args.fmt == "json":
+        # S_n always has the identity, so the list is never empty.
+        sys.stdout.writelines(map(_listing_json, records))
+        sys.stdout.write("\n]\n")
+    else:
+        header = ["index", "window", "cycles", "length", "descents", "pairs"]
+        _emit_rows(args.fmt, header, map(_listing_row, records))
     return 0
 
 
@@ -174,7 +198,7 @@ def _matrix_for_args(args: argparse.Namespace):
             raise UsageError("matrix --kind sn needs exactly one of --generator/--element")
         basis = model_sn.model_basis(n)
         p = perm.generator(n, args.generator) if args.generator is not None else args.element
-        return model_sn.rho_matrix(p, basis).to_poly_matrix()
+        return model_sn.rho_matrix(p, basis)
     if args.kind == "hecke":
         require("matrix_hecke", n)
         if len(given) != 1 or args.element is not None:
@@ -188,9 +212,9 @@ def _matrix_for_args(args: argparse.Namespace):
         raise UsageError("matrix --kind typeb needs exactly one of --generator/--element")
     basis = typeb.b_model_basis(n)
     if args.generator is not None:
-        return typeb.rho_b_generator(args.generator, basis).to_poly_matrix()
+        return typeb.rho_b_generator(args.generator, basis)
     gens = {i: typeb.rho_b_generator(i, basis) for i in range(n)}
-    return typeb.rho_b_of_element(args.element, basis, gens).to_poly_matrix()
+    return typeb.rho_b_of_element(args.element, basis, gens)
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
@@ -201,13 +225,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         if not first <= args.generator <= args.n - 1:
             raise UsageError(f"--generator must be in {first}..{args.n - 1}")
     mat = _matrix_for_args(args)
-    if args.fmt == "json":
-        print(mat.to_json())
-    else:
-        print(f"dim {mat.dim}")
-        polys = mat.poly_entries()
-        for (r, c) in sorted(polys):
-            print(f"({r},{c}) {polys[(r, c)]}")
+    (mat.write_json if args.fmt == "json" else mat.write_text)(sys.stdout)
     return 0
 
 

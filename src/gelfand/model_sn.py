@@ -74,10 +74,20 @@ class SignedPermMatrix:
     def entry_dict(self) -> dict[tuple[int, int], int]:
         return {(r, c): s for c, (r, s) in enumerate(zip(self.rows, self.signs))}
 
-    def to_poly_matrix(self):
-        from .qpoly import PolyMatrix
+    def write_json(self, out) -> None:
+        """Write this matrix as ``PolyMatrix.write_json`` writes it over Z[q]."""
+        col_of_row = sorted(range(self.dim), key=self.rows.__getitem__)
+        out.write(f'{{"dim": {self.dim}, "entries": [')
+        out.writelines(
+            f"{', ' if r else ''}[{r}, {c}, [{self.signs[c]}]]" for r, c in enumerate(col_of_row)
+        )
+        out.write("]}\n")
 
-        return PolyMatrix.from_entries(self.dim, self.entry_dict())
+    def write_text(self, out) -> None:
+        """Write this matrix as ``PolyMatrix.write_text`` writes it over Z[q]."""
+        col_of_row = sorted(range(self.dim), key=self.rows.__getitem__)
+        out.write(f"dim {self.dim}\n")
+        out.writelines(f"({r},{c}) {self.signs[c]}\n" for r, c in enumerate(col_of_row))
 
 
 def inv_w(p: Window, w: Window) -> int:

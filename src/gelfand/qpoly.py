@@ -2,13 +2,12 @@
 
 The scalar ring is Z[q]; coefficients are Python ints, so arithmetic never
 overflows.  A matrix stores each column as a dict (row, q-degree) -> nonzero
-int, so its products, sums and comparisons run on plain ints; a QPoly is
-built only for output, by ``trace``, ``poly_entries`` and ``to_json_obj``.
+int, so its products, sums, comparisons and JSON run on plain ints; a QPoly
+is built only for output, by ``trace``, ``poly_entries`` and ``write_text``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -40,15 +39,6 @@ class QPoly:
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return self._terms[-1][0] if self._terms else -1
-
-    def coeff_list(self) -> list[int]:
-        """Dense [c0, c1, ...] up to the degree; empty for zero."""
-        if not self._terms:
-            return []
-        out = [0] * (self._terms[-1][0] + 1)
-        for d, c in self._terms:
-            out[d] = c
-        return out
 
     def evaluate(self, x):
         """Exact value at x; stays in int or Fraction arithmetic."""
@@ -146,17 +136,6 @@ class PolyMatrix:
     cols: tuple[dict[tuple[int, int], int], ...]
 
     @staticmethod
-    def from_entries(dim: int, items) -> "PolyMatrix":
-        pairs = items.items() if isinstance(items, Mapping) else items
-        cols: list[list] = [[] for _ in range(dim)]
-        for (r, c), f in pairs:
-            if not (0 <= r < dim and 0 <= c < dim):
-                raise ValueError(f"entry ({r}, {c}) out of range for dim {dim}")
-            terms = f._terms if isinstance(f, QPoly) else ((0, f),)
-            cols[c].extend(({(r, 0): 1}, e, b) for e, b in terms)
-        return PolyMatrix(dim, tuple(_combine(col) for col in cols))
-
-    @staticmethod
     def identity(dim: int) -> "PolyMatrix":
         return PolyMatrix(dim, tuple({(i, 0): 1} for i in range(dim)))
 
@@ -212,13 +191,26 @@ class PolyMatrix:
             out[(r, c)] = out.get((r, c), x * 0) + a * x**d
         return {k: v for k, v in out.items() if v != 0}
 
-    def to_json_obj(self) -> dict:
-        polys = self.poly_entries()
-        entries = [[r, c, polys[(r, c)].coeff_list()] for (r, c) in sorted(polys)]
-        return {"dim": self.dim, "entries": entries}
+    def write_json(self, out) -> None:
+        """Write ``json.dumps({"dim": d, "entries": [[row, col, [c0, ...]], ...]})`` and a newline
+        off the integer columns, building no QPoly and no whole string (int lists print as JSON)."""
+        by_row: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
+        for c, col in enumerate(self.cols):
+            for (r, d), a in col.items():
+                by_row[r].setdefault(c, {})[d] = a
+        entries = ((r, c, t) for r, row in enumerate(by_row) for c, t in row.items())
+        out.write(f'{{"dim": {self.dim}, "entries": [')
+        out.writelines(
+            f"{', ' if k else ''}[{r}, {c}, {[t.get(d, 0) for d in range(max(t) + 1)]}]"
+            for k, (r, c, t) in enumerate(entries)
+        )
+        out.write("]}\n")
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
+    def write_text(self, out) -> None:
+        """Write ``dim d`` and one ``(row,col) polynomial`` line per entry, in (row, col) order."""
+        polys = self.poly_entries()
+        out.write(f"dim {self.dim}\n")
+        out.writelines(f"({r},{c}) {polys[r, c]}\n" for r, c in sorted(polys))
 
 
 def _combine(scaled) -> dict[tuple[int, int], int]:

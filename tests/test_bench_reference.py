@@ -8,19 +8,24 @@ variable, so the ``GELFAND_CAP`` that ``perfbench/run.py`` sets for its child
 processes changes nothing.  The record is only read.  Nine of the ten seeded
 ``verify --scope sn`` calls differ only in their sampled pairs and take most
 of the time, so they run under ``--runslow``.
+
+Under ``--runslow`` one short traced benchmark run per workload also checks
+that the last line ``perfbench/run.py`` prints is a strict-JSON result with
+nothing failed: a run can exit 0 and still end on a line that is no result.
 """
 
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from gelfand.cli import main
 
-REFERENCE = json.loads(
-    (Path(__file__).resolve().parent.parent / "perfbench" / "reference.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
 
 
 def _case(args: str):
@@ -39,3 +44,20 @@ def test_pinned_benchmark_output(args, capsys, monkeypatch):
         expected["stdout_bytes"],
         expected["sha256"],
     )
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", ["export", "verify"])
+def test_traced_benchmark_run_ends_on_a_correct_result(workload):
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", *argv],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_refuse_constant)
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stdout + proc.stderr

@@ -1,11 +1,13 @@
+import io
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gelfand import perm
+from gelfand import perm, typeb
 from gelfand.errors import CapacityError
 from gelfand.model_sn import (
     SignedPermMatrix,
@@ -22,6 +24,7 @@ from gelfand.model_sn import (
     sign_cocycle_witness,
     verify_sn_model,
 )
+from gelfand.qpoly import QPoly
 
 
 def test_inv_w_examples():
@@ -266,3 +269,36 @@ def test_class_traces_for_one_class_are_its_filtered_rows(n):
     assert [row[0] for row in rows] == list(perm.partitions(n))
     for mu in perm.partitions(n):
         assert list(class_traces(n, mu)) == [row for row in rows if row[0] == mu]
+
+
+def _monomial_cases(kind, n):
+    """Every generator matrix and 50 seeded element matrices of S_n or B_n."""
+    rng = random.Random(n)
+    if kind == "sn":
+        basis = model_basis(n)
+        gens = [rho_generator_matrix(i, basis) for i in range(1, n)]
+        elements = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(50)]
+        return gens + [rho_matrix(p, basis) for p in elements]
+    basis = typeb.b_model_basis(n)
+    gens = {i: typeb.rho_b_generator(i, basis) for i in range(n)}
+    elements = [
+        tuple(x * rng.choice((1, -1)) for x in rng.sample(range(1, n + 1), n)) for _ in range(50)
+    ]
+    return list(gens.values()) + [typeb.rho_b_of_element(g, basis, gens) for g in elements]
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("sn", n) for n in range(1, 7)] + [("typeb", n) for n in range(1, 5)]
+)
+def test_monomial_writers_match_a_dict_reference(kind, n):
+    for m in _monomial_cases(kind, n):
+        entries = sorted(m.entry_dict().items())
+        as_json, as_text = io.StringIO(), io.StringIO()
+        m.write_json(as_json)
+        m.write_text(as_text)
+        assert as_json.getvalue() == json.dumps(
+            {"dim": m.dim, "entries": [[r, c, [s]] for (r, c), s in entries]}, sort_keys=True
+        ) + "\n"
+        assert as_text.getvalue() == f"dim {m.dim}\n" + "".join(
+            f"({r},{c}) {QPoly.constant(s)}\n" for (r, c), s in entries
+        )

@@ -1,11 +1,31 @@
+import io
 import json
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gelfand.qpoly import ONE, Q, ZERO, PolyMatrix, QPoly, minus_q_power
+from gelfand.qpoly import ONE, Q, ZERO, PolyMatrix, QPoly, _combine, minus_q_power
+
+
+def from_entries(dim, items):
+    """A PolyMatrix from (row, col) -> QPoly or int entries; repeated keys add up."""
+    pairs = items.items() if isinstance(items, Mapping) else items
+    cols = [[] for _ in range(dim)]
+    for (r, c), f in pairs:
+        if not (0 <= r < dim and 0 <= c < dim):
+            raise ValueError(f"entry ({r}, {c}) out of range for dim {dim}")
+        terms = f._terms if isinstance(f, QPoly) else ((0, f),)
+        cols[c].extend(({(r, 0): 1}, e, b) for e, b in terms)
+    return PolyMatrix(dim, tuple(_combine(col) for col in cols))
+
+
+def to_json(m):
+    buf = io.StringIO()
+    m.write_json(buf)
+    return buf.getvalue()
 
 
 def polys(max_deg=4, max_coeff=6):
@@ -17,7 +37,7 @@ def polys(max_deg=4, max_coeff=6):
 def sparse_matrices(dim=8):
     keys = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
     return st.dictionaries(keys, polys(max_deg=2), max_size=10).map(
-        lambda d: PolyMatrix.from_entries(dim, d)
+        lambda d: from_entries(dim, d)
     )
 
 
@@ -63,7 +83,7 @@ def test_text_rendering():
 
 
 def test_matrix_identity_and_trace():
-    m = PolyMatrix.from_entries(3, {(0, 1): Q, (2, 0): ONE - Q})
+    m = from_entries(3, {(0, 1): Q, (2, 0): ONE - Q})
     assert PolyMatrix.identity(3) @ m == m
     assert m @ PolyMatrix.identity(3) == m
     assert PolyMatrix.identity(10).trace() == QPoly.constant(10)
@@ -78,8 +98,8 @@ def test_matrix_dim_mismatch():
     "refused",
     [
         lambda: PolyMatrix.identity(2).add(PolyMatrix.identity(3)),
-        lambda: PolyMatrix.from_entries(2, {(2, 0): ONE}),
-        lambda: PolyMatrix.from_entries(2, [((0, -1), Q)]),
+        lambda: from_entries(2, {(2, 0): ONE}),
+        lambda: from_entries(2, [((0, -1), Q)]),
     ],
 )
 def test_matrix_size_errors_are_refused(refused):
@@ -113,7 +133,7 @@ def _nonzero(dense):
 @given(matrix_cases)
 def test_matrix_operations_match_a_dense_reference(case):
     dim, ea, eb, f = case
-    a, b = PolyMatrix.from_entries(dim, ea), PolyMatrix.from_entries(dim, eb)
+    a, b = from_entries(dim, ea), from_entries(dim, eb)
     da, db = _dense(dim, ea), _dense(dim, eb)
     product = [
         [sum((da[r][k] * db[k][c] for k in range(dim)), ZERO) for c in range(dim)]
@@ -123,7 +143,7 @@ def test_matrix_operations_match_a_dense_reference(case):
     scaled = [[f * x for x in row] for row in da]
     assert a.poly_entries() == _nonzero(da)
     assert (a @ b).poly_entries() == _nonzero(product)
-    assert a @ b == PolyMatrix.from_entries(dim, _nonzero(product))
+    assert a @ b == from_entries(dim, _nonzero(product))
     assert a.add(b).poly_entries() == _nonzero(total)
     assert a.scale(f).poly_entries() == _nonzero(scaled)
     assert a.trace() == sum((da[i][i] for i in range(dim)), ZERO)
@@ -132,28 +152,31 @@ def test_matrix_operations_match_a_dense_reference(case):
     }
     assert (a == b) == (_nonzero(da) == _nonzero(db))
     assert len(a.entries) == sum(len(g.coeffs) for g in _nonzero(da).values())
-    expected = [[r, c, g.coeff_list()] for (r, c), g in sorted(_nonzero(da).items())]
-    assert a.to_json() == json.dumps({"dim": dim, "entries": expected}, sort_keys=True)
+    expected = [
+        [r, c, [g.coeffs.get(d, 0) for d in range(g.degree() + 1)]]
+        for (r, c), g in sorted(_nonzero(da).items())
+    ]
+    assert to_json(a) == json.dumps({"dim": dim, "entries": expected}, sort_keys=True) + "\n"
 
 
 @given(matrix_cases)
 def test_matrix_cancellations_give_the_zero_matrix(case):
     dim, ea, eb, _ = case
-    a, b = PolyMatrix.from_entries(dim, ea), PolyMatrix.from_entries(dim, eb)
-    zero = PolyMatrix.from_entries(dim, {})
+    a, b = from_entries(dim, ea), from_entries(dim, eb)
+    zero = from_entries(dim, {})
     minus_a = a.scale(-1)
     for m in (a.add(minus_a), a.scale(0), a @ zero, zero @ a, (a @ b).add(minus_a @ b)):
         assert m == zero and m.entries == {} and m.poly_entries() == {}
         assert m.trace() == ZERO and m.specialize(1) == {}
-    assert PolyMatrix.from_entries(dim, [((0, 0), Q), ((0, 0), -Q)]) == zero
+    assert from_entries(dim, [((0, 0), Q), ((0, 0), -Q)]) == zero
 
 
 def test_matrix_products_that_cancel_to_zero():
-    nilpotent = PolyMatrix.from_entries(2, {(0, 1): Q})
-    zero = PolyMatrix.from_entries(2, {})
+    nilpotent = from_entries(2, {(0, 1): Q})
+    zero = from_entries(2, {})
     assert nilpotent @ nilpotent == zero
-    row = PolyMatrix.from_entries(2, {(0, 0): ONE - Q, (0, 1): ONE - Q})
-    col = PolyMatrix.from_entries(2, {(0, 0): Q, (1, 0): -Q})
+    row = from_entries(2, {(0, 0): ONE - Q, (0, 1): ONE - Q})
+    col = from_entries(2, {(0, 0): Q, (1, 0): -Q})
     assert row @ col == zero
 
 
@@ -168,13 +191,45 @@ def test_trace_of_product_commutes(a, b):
 
 
 def test_json_canonical():
-    m = PolyMatrix.from_entries(2, {(1, 1): -Q, (0, 0): ONE})
-    assert m.to_json() == '{"dim": 2, "entries": [[0, 0, [1]], [1, 1, [0, -1]]]}'
-    assert m.to_json() == m.to_json()
+    m = from_entries(2, {(1, 1): -Q, (0, 0): ONE})
+    assert to_json(m) == '{"dim": 2, "entries": [[0, 0, [1]], [1, 1, [0, -1]]]}\n'
+    assert to_json(m) == to_json(m)
+
+
+# Entries as (row, col, q-degree, coefficient) terms: repeated keys add up and
+# often cancel, and degrees up to 4 leave zeros inside a coefficient list.
+matrix_terms = st.integers(1, 6).flatmap(
+    lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(
+            st.tuples(
+                st.integers(0, dim - 1), st.integers(0, dim - 1), st.integers(0, 4),
+                st.integers(-2, 2),
+            ),
+            max_size=3 * dim * dim,
+        ),
+    )
+)
+
+
+@given(matrix_terms)
+def test_json_writer_matches_json_dumps(case):
+    dim, terms = case
+    m = from_entries(dim, [((r, c), QPoly({d: a})) for r, c, d, a in terms])
+    acc = {}
+    for r, c, d, a in terms:
+        acc.setdefault((r, c), {})
+        acc[r, c][d] = acc[r, c].get(d, 0) + a
+    entries = []
+    for (r, c), coeffs in sorted(acc.items()):
+        top = max((d for d, a in coeffs.items() if a), default=-1)
+        if top >= 0:
+            entries.append([r, c, [coeffs.get(d, 0) for d in range(top + 1)]])
+    assert to_json(m) == json.dumps({"dim": dim, "entries": entries}, sort_keys=True) + "\n"
 
 
 def test_specialize_drops_zeros():
-    m = PolyMatrix.from_entries(2, {(0, 0): ONE - Q, (1, 0): Q})
+    m = from_entries(2, {(0, 0): ONE - Q, (1, 0): Q})
     assert m.specialize(1) == {(1, 0): 1}
 
 
