@@ -139,10 +139,10 @@ def _involution_records(n: int) -> Iterator[dict]:
         yield {
             "index": idx,
             "window": list(w),
-            "cycles": "".join(f"({a} {b})" for a, b in pairs) or "e",
+            "cycles": "".join(["(%d %d)" % p for p in pairs]) or "e",
             "length": model_hecke.involutive_length(w),
             "descents": [i for i in range(1, n) if w[i - 1] > w[i]],
-            "pairs": [list(p) for p in pairs],
+            "pairs": list(map(list, pairs)),
         }
 
 
@@ -154,7 +154,7 @@ def _listing_row(r: dict) -> list[str]:
         r["cycles"],
         str(r["length"]),
         " ".join(map(str, r["descents"])) or "-",
-        "".join(f"({a},{b})" for a, b in r["pairs"]) or "-",
+        r["cycles"].replace(" ", ",") if r["pairs"] else "-",  # each "(a b)" as "(a,b)"
     ]
 
 
@@ -166,7 +166,7 @@ def _json_list(items, pad: str) -> str:
 def _listing_json(r: dict) -> str:
     """``[`` or ``,``, then one record laid out as by ``json.dumps(indent=2, sort_keys=True)``."""
     pad = "\n      "
-    pairs = [_json_list(p, pad + "  ") for p in r["pairs"]]
+    pairs = ["[\n        %d,\n        %d\n      ]" % tuple(p) for p in r["pairs"]]
     return (
         '%s\n  {\n    "cycles": "%s",\n    "descents": %s,\n    "index": %d,\n    "length": %d,\n'
         '    "pairs": %s,\n    "window": %s\n  }'
