@@ -13,10 +13,11 @@ from functools import lru_cache
 from typing import Iterator, Literal, Mapping
 
 from . import perm
-from .errors import InternalConsistencyError, require, require_suite
+from .errors import CapacityError, InternalConsistencyError, require, require_suite
 from .model_sn import ModelBasis, model_basis, pair_orbits, relation_checks, rho_generator_matrix
 from .perm import Partition, Window
-from .qpoly import ONE, Q, PolyMatrix, QPoly, minus_q_power  # noqa: F401 (perfbench probes it)
+from .qpoly import ONE, Q, SHIFT, PolyMatrix, QPoly, pack, unpack
+from .qpoly import minus_q_power  # noqa: F401 (perfbench probes it)
 from .report import Check, Report, first_failure
 
 CaseTag = Literal["fixed_descent", "fixed_nondescent", "up", "down"]
@@ -120,22 +121,29 @@ def order_relation(w: Window, i: int) -> CaseTag:
 
 
 def rho_q_generator(i: int, basis: ModelBasis) -> PolyMatrix:
-    """Matrix of T_i: at most two nonzero entries per column."""
+    """Matrix of T_i: at most two nonzero entries per column, of coefficient 1-norm <= 3."""
     s = perm.generator(basis.n, i)
     lengths = involutive_order(basis.n)
+    q = pack(Q)
     cols = []
     for c, w in enumerate(basis.involutions):
         v = perm.compose(s, perm.compose(w, s))
         tag = _case(w, v, i, lengths)
         if tag == "fixed_descent":
-            cols.append({(c, 1): -1})
+            cols.append({c: -q})
         elif tag == "fixed_nondescent":
-            cols.append({(c, 0): 1})
+            cols.append({c: 1})
         elif tag == "up":
-            cols.append({(c, 0): 1, (c, 1): -1, (basis.index[v], 1): 1})
+            cols.append({c: 1 - q, basis.index[v]: q})
         else:
-            cols.append({(basis.index[v], 0): 1})
+            cols.append({basis.index[v]: 1})
     return PolyMatrix(basis.dim, tuple(cols))
+
+
+def _require_exact(dim: int, word: list[int] | tuple[int, ...]) -> None:
+    """Refuse a word whose trace bound dim * 3^len(word) leaves the packed digits (see SHIFT)."""
+    if dim * 3 ** len(word) >= 1 << (SHIFT - 1):
+        raise CapacityError(f"a word of {len(word)} letters at dim {dim} is past the packed bound")
 
 
 def rho_q_of_word(word: list[int] | tuple[int, ...], basis: ModelBasis) -> PolyMatrix:
@@ -146,6 +154,7 @@ def rho_q_of_word(word: list[int] | tuple[int, ...], basis: ModelBasis) -> PolyM
     prints its result, and the tests check ``hecke_model_character`` against
     its trace.  ``rho_q_trace`` gives the trace alone by column action.
     """
+    _require_exact(basis.dim, word)
     out = PolyMatrix.identity(basis.dim)
     for i in word:
         out = out @ rho_q_generator(i, basis)
@@ -179,20 +188,20 @@ def rho_q_trace(
 
     ``gens`` maps each generator index to its matrix, built once by the
     caller.  For each basis vector e_c the word's generator columns act on
-    e_c from right to left, on a vector stored as (index, q-degree) -> int;
-    the coefficient of e_c is read off and summed over c.  No product matrix
-    is formed, and each step touches only the nonzeros of the columns it
-    reaches (at most two per column for the model's T_i).
+    e_c from right to left, on a vector stored as index -> packed entry; the
+    coefficient of e_c is read off and summed over c into one packed total.
+    No product matrix is formed, and each step touches only the nonzeros of
+    the columns it reaches (at most two per column for the model's T_i).
     """
-    total: dict[int, int] = {}
+    _require_exact(basis.dim, word)
+    total = 0
     for c in range(basis.dim):
-        vec = {(c, 0): 1}
+        vec = {c: 1}
         for i in reversed(word):
             vec = gens[i].apply(vec)
-        for (r, d), a in vec.items():
-            if r == c:
-                total[d] = total.get(d, 0) + a
-    return QPoly(total)
+        total += vec.get(c, 0)
+    (coeffs,) = unpack([total])
+    return QPoly(enumerate(coeffs))
 
 
 def hecke_model_character(

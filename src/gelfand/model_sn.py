@@ -124,34 +124,38 @@ def rho_generator_matrix(i: int, basis: ModelBasis) -> SignedPermMatrix:
 
 
 @lru_cache(maxsize=None)
-def _basis_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The 2-cycles of every involution of model_basis(n), in basis order."""
-    return tuple(perm.involution_pairs(w) for w in model_basis(n).involutions)
+def _pair_codes(n: int) -> tuple[dict[tuple[int, int], int], list[tuple[int, ...]], dict[int, int]]:
+    """Index k of each pair a < b, each basis involution as the k of its 2-cycles,
+    and the basis index of each involution keyed by its bitmask, sum of 2^k."""
+    pair_index = {ab: k for k, ab in enumerate(itertools.combinations(range(1, n + 1), 2))}
+    bits = [1 << k for k in range(len(pair_index))]
+    invs = model_basis(n).involutions
+    cycles = [tuple([pair_index[a, x] for a, x in enumerate(w, 1) if x > a]) for w in invs]
+    return pair_index, cycles, {sum(map(bits.__getitem__, t)): j for j, t in enumerate(cycles)}
 
 
 def rho_matrix(p: Window, basis: ModelBasis) -> SignedPermMatrix:
     """Action of an arbitrary permutation via the inversion-count sign.
 
-    Computed for each basis element on its own, never as a product over a
-    generator word, so that the multiplicativity check compares two
-    independent constructions.
+    The 2-cycles of p w p^-1 are the (p(a) p(b)) for the 2-cycles (a b) of w,
+    and the sign counts the (a b) that p inverts.  So each pair a < b gets the
+    step (bit of its image pair) << 4 | inverted, and the sum of the steps of
+    w's 2-cycles gives the row by its bitmask and the sign by its parity (w has
+    at most n/2 < 16 2-cycles).  Each element is computed on its own, never as
+    a product over a generator word, so that the multiplicativity check
+    compares two independent constructions.
     """
     n = basis.n
     if len(p) != n:
         raise ValueError(f"size mismatch: {len(p)} vs n={n}")
-    p_inv = perm.inverse(p)
-    image = (0, *p)  # image[i] = p(i), indexed from 1
-    rows = []
-    signs = []
-    for w, pairs in zip(basis.involutions, _basis_pairs(n)):
-        # p w p^-1, read off position by position.
-        rows.append(basis.index[tuple([image[w[j - 1]] for j in p_inv])])
-        sign = 1
-        for a, b in pairs:
-            if image[a] > image[b]:
-                sign = -sign
-        signs.append(sign)
-    return SignedPermMatrix(basis.dim, tuple(rows), tuple(signs))
+    pair_index, cycles, code_index = _pair_codes(n)
+    step = []
+    for a, b in pair_index:
+        x, y = p[a - 1], p[b - 1]
+        step.append(1 << pair_index[min(x, y), max(x, y)] << 4 | (x > y))
+    sums = [sum(map(step.__getitem__, t)) for t in cycles]
+    rows = tuple([code_index[s >> 4] for s in sums])
+    return SignedPermMatrix(basis.dim, rows, tuple([-1 if s & 1 else 1 for s in sums]))
 
 
 def rho_character(p: Window, basis: ModelBasis) -> int:

@@ -1,15 +1,15 @@
 """Exact integer-coefficient polynomials in q and sparse square matrices over them.
 
-The scalar ring is Z[q]; coefficients are Python ints, so arithmetic never
-overflows.  A matrix stores each column as a dict (row, q-degree) -> nonzero
-int, so its products, sums, comparisons and JSON run on plain ints; a QPoly
-is built only for output, by ``trace``, ``poly_entries`` and ``write_text``.
+The scalar ring is Z[q]; coefficients are Python ints.  A matrix column is a
+dict row -> nonzero entry, each entry one int packed by Kronecker substitution
+(see ``SHIFT``), so products, sums and comparisons are plain int arithmetic;
+entries are unpacked only for output, from ``entries`` to the two writers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class QPoly:
@@ -128,33 +128,63 @@ def minus_q_power(k: int) -> QPoly:
     return QPoly({k: -1 if k % 2 else 1})
 
 
+# Kronecker substitution q = 2^SHIFT packs sum c_d q^d into the int sum c_d << SHIFT*d, a ring
+# map Z[q] -> Z; unpacking (signed base-2^SHIFT digits) is exact while every |c_d| < 2^(SHIFT-1).
+# Each Hecke T_i column has coefficient 1-norm at most 3, so a word of L letters gives entries
+# below 3^L and a trace below dim * 3^L: at every cap (n <= 10 for ``matrix_hecke``) at most
+# 9496 * 3^9 < 2^28.  ``model_hecke`` refuses any (dim, L) that this bound leaves above 2^63.
+SHIFT = 64
+
+
+def pack(f: QPoly | int) -> int:
+    """f evaluated at q = 2^SHIFT."""
+    return sum(c << SHIFT * d for d, c in _coerce(f)._terms)
+
+
+def unpack(values: Iterable[int]) -> Iterator[list[int]]:
+    """The coefficients [c_0, c_1, ..., c_degree] of each packed polynomial in ``values``."""
+    for v in values:
+        coeffs = []
+        while v:
+            c = (v + (1 << SHIFT - 1)) % (1 << SHIFT) - (1 << SHIFT - 1)
+            coeffs.append(c)
+            v = (v - c) >> SHIFT
+        yield coeffs
+
+
 @dataclass(frozen=True)
 class PolyMatrix:
-    """Square matrix over Z[q]; column c maps (row, q-degree) to a nonzero int."""
+    """Square matrix over Z[q]; column c maps each row to its nonzero entry, packed."""
 
     dim: int
-    cols: tuple[dict[tuple[int, int], int], ...]
+    cols: tuple[dict[int, int], ...]
 
     @staticmethod
     def identity(dim: int) -> "PolyMatrix":
-        return PolyMatrix(dim, tuple({(i, 0): 1} for i in range(dim)))
+        return PolyMatrix(dim, tuple({i: 1} for i in range(dim)))
 
     @property
     def entries(self) -> dict[tuple[int, int, int], int]:
-        """Flat view (row, col, q-degree) -> coefficient; builds no QPoly."""
-        return {(r, c, d): a for c, col in enumerate(self.cols) for (r, d), a in col.items()}
+        """Flat view (row, col, q-degree) -> nonzero coefficient; builds no QPoly."""
+        return {(r, c, d): a for r, c, coeffs in self._cells() for d, a in enumerate(coeffs) if a}
+
+    def _cells(self) -> list[tuple[int, int, list[int]]]:
+        """(row, col, coefficient list) for every nonzero entry, in (row, col) order."""
+        cells = sorted((r, c, v) for c, col in enumerate(self.cols) for r, v in col.items())
+        return [(r, c, coeffs) for (r, c, _), coeffs in zip(cells, unpack(v for *_, v in cells))]
 
     def poly_entries(self) -> dict[tuple[int, int], QPoly]:
         """Every nonzero entry as a QPoly, keyed (row, col): the output boundary."""
-        acc: dict[tuple[int, int], dict[int, int]] = {}
-        for (r, c, d), a in self.entries.items():
-            acc.setdefault((r, c), {})[d] = a
-        return {k: QPoly(v) for k, v in acc.items()}
+        return {(r, c): QPoly(enumerate(coeffs)) for r, c, coeffs in self._cells()}
 
-    def apply(self, vec: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    def apply(self, vec: Mapping[int, int]) -> dict[int, int]:
         """This matrix times the column vector ``vec``, stored as the columns are."""
         cols = self.cols
-        return _combine([(cols[k], e, b) for (k, e), b in vec.items()])
+        acc: dict[int, int] = {}
+        for k, b in vec.items():
+            for r, a in cols[k].items():
+                acc[r] = acc.get(r, 0) + a * b
+        return {r: v for r, v in acc.items() if v} if 0 in acc.values() else acc
 
     def _check_dim(self, other: "PolyMatrix") -> None:
         if self.dim != other.dim:
@@ -166,58 +196,35 @@ class PolyMatrix:
 
     def add(self, other: "PolyMatrix") -> "PolyMatrix":
         self._check_dim(other)
-        return PolyMatrix(
-            self.dim, tuple(_combine([(x, 0, 1), (y, 0, 1)]) for x, y in zip(self.cols, other.cols))
-        )
+        pairs = zip(self.cols, other.cols)
+        sums = ({r: x.get(r, 0) + y.get(r, 0) for r in x | y} for x, y in pairs)
+        return PolyMatrix(self.dim, tuple({r: v for r, v in col.items() if v} for col in sums))
 
     def scale(self, f) -> "PolyMatrix":
-        terms = _coerce(f)._terms
+        s = pack(f)
         return PolyMatrix(
-            self.dim, tuple(_combine([(col, e, b) for e, b in terms]) for col in self.cols)
+            self.dim, tuple({r: a * s for r, a in col.items()} if s else {} for col in self.cols)
         )
 
     def trace(self) -> QPoly:
-        total: dict[int, int] = {}
-        for c, col in enumerate(self.cols):
-            for (r, d), a in col.items():
-                if r == c:
-                    total[d] = total.get(d, 0) + a
-        return QPoly(total)
+        (coeffs,) = unpack([sum(col.get(c, 0) for c, col in enumerate(self.cols))])
+        return QPoly(enumerate(coeffs))
 
     def specialize(self, x) -> dict[tuple[int, int], object]:
         """Evaluate every entry at x; zero results are dropped."""
-        out: dict[tuple[int, int], object] = {}
-        for (r, c, d), a in self.entries.items():
-            out[(r, c)] = out.get((r, c), x * 0) + a * x**d
-        return {k: v for k, v in out.items() if v != 0}
+        cells = self._cells()
+        values = ((r, c, sum(a * x**d for d, a in enumerate(coeffs))) for r, c, coeffs in cells)
+        return {(r, c): v for r, c, v in values if v != 0}
 
     def write_json(self, out) -> None:
         """Write ``json.dumps({"dim": d, "entries": [[row, col, [c0, ...]], ...]})`` and a newline
-        off the integer columns, building no QPoly and no whole string (int lists print as JSON)."""
-        by_row: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
-        for c, col in enumerate(self.cols):
-            for (r, d), a in col.items():
-                by_row[r].setdefault(c, {})[d] = a
-        entries = ((r, c, t) for r, row in enumerate(by_row) for c, t in row.items())
+        off the packed columns, building no QPoly and no whole string (int lists print as JSON)."""
         out.write(f'{{"dim": {self.dim}, "entries": [')
-        out.writelines(
-            f"{', ' if k else ''}[{r}, {c}, {[t.get(d, 0) for d in range(max(t) + 1)]}]"
-            for k, (r, c, t) in enumerate(entries)
-        )
+        cells = enumerate(self._cells())
+        out.writelines(f"{', ' if k else ''}[{r}, {c}, {coeffs}]" for k, (r, c, coeffs) in cells)
         out.write("]}\n")
 
     def write_text(self, out) -> None:
         """Write ``dim d`` and one ``(row,col) polynomial`` line per entry, in (row, col) order."""
-        polys = self.poly_entries()
         out.write(f"dim {self.dim}\n")
-        out.writelines(f"({r},{c}) {polys[r, c]}\n" for r, c in sorted(polys))
-
-
-def _combine(scaled) -> dict[tuple[int, int], int]:
-    """Sum of b q^e col over the (col, e, b) in ``scaled``, with zero terms dropped."""
-    acc: dict[tuple[int, int], int] = {}
-    for col, e, b in scaled:
-        for (r, d), a in col.items():
-            key = (r, d + e)
-            acc[key] = acc.get(key, 0) + a * b
-    return {k: v for k, v in acc.items() if v} if 0 in acc.values() else acc
+        out.writelines(f"({r},{c}) {QPoly(enumerate(coeffs))}\n" for r, c, coeffs in self._cells())

@@ -217,6 +217,48 @@ def test_column_action_trace_on_chosen_words(word):
     assert rho_q_trace(word, basis, _gens(basis)) == rho_q_of_word(word, basis).trace()
 
 
+def _dense_generators(basis):
+    """Each T_i as a list of rows of QPoly entries."""
+    dense = {}
+    for i, m in _gens(basis).items():
+        entries = m.poly_entries()
+        dense[i] = [[entries.get((r, c), ZERO) for c in range(basis.dim)] for r in range(basis.dim)]
+    return dense
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1), max_size=6))
+    )
+)
+def test_packed_trace_equals_the_dense_qpoly_product_trace(case):
+    n, word = case
+    basis = model_basis(n)
+    dense, dim = _dense_generators(basis), basis.dim
+    product = [[ONE if r == c else ZERO for c in range(dim)] for r in range(dim)]
+    for i in word:
+        g = dense[i]
+        product = [
+            [sum((row[k] * g[k][c] for k in range(dim) if row[k]), ZERO) for c in range(dim)]
+            for row in product
+        ]
+    assert rho_q_trace(word, basis, _gens(basis)) == sum((product[c][c] for c in range(dim)), ZERO)
+
+
+def test_words_beyond_the_packed_bound_are_refused_before_any_work(monkeypatch):
+    # dim 4 * 3^38 < 2^63 <= 4 * 3^39: the bound covers 38 letters at n=3, not 39
+    basis = model_basis(3)
+    longest = [1, 2] * 19
+    assert rho_q_trace(longest, basis, _gens(basis)) == rho_q_of_word(longest, basis).trace()
+    monkeypatch.setattr(model_hecke, "rho_q_generator", None)
+    for word in ([1] * 39, [1, 2] * 20):
+        with pytest.raises(CapacityError, match=f"word of {len(word)} letters at dim 4 is past"):
+            rho_q_trace(word, basis, {})
+        with pytest.raises(CapacityError, match=f"word of {len(word)} letters at dim 4 is past"):
+            rho_q_of_word(word, basis)
+
+
 def test_column_action_trace_reads_any_column_shape():
     # T_2 T_3 in the place of T_2, as in test_relation_checks: its columns
     # have up to four nonzeros, which the trace must still follow exactly

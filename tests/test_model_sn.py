@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gelfand import perm, typeb
@@ -86,11 +86,26 @@ def test_generator_routes_agree(n):
         lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
     )
 )
+@example((1,))
+@example((1, 2))
+@example((2, 1))
 def test_rho_matrix_matches_naive_construction(p):
     basis = model_basis(len(p))
     rows = tuple(basis.index[perm.conjugate(p, w)] for w in basis.involutions)
     signs = tuple(-1 if inv_w(p, w) % 2 else 1 for w in basis.involutions)
     assert rho_matrix(p, basis) == SignedPermMatrix(basis.dim, rows, signs)
+    # The window construction: p w p^-1 read off position by position, and
+    # the sign from the 2-cycles of w that p inverts.
+    p_inv = perm.inverse(p)
+    image = (0, *p)
+    windows = tuple(tuple(image[w[j - 1]] for j in p_inv) for w in basis.involutions)
+    signs = tuple(
+        (-1) ** sum(image[a] > image[b] for a, b in perm.involution_pairs(w))
+        for w in basis.involutions
+    )
+    assert rho_matrix(p, basis) == SignedPermMatrix(
+        basis.dim, tuple(basis.index[v] for v in windows), signs
+    )
 
 
 def test_character_examples():

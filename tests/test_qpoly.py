@@ -7,19 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gelfand.qpoly import ONE, Q, ZERO, PolyMatrix, QPoly, _combine, minus_q_power
+from gelfand.qpoly import ONE, Q, SHIFT, ZERO, PolyMatrix, QPoly, minus_q_power, pack, unpack
 
 
 def from_entries(dim, items):
     """A PolyMatrix from (row, col) -> QPoly or int entries; repeated keys add up."""
     pairs = items.items() if isinstance(items, Mapping) else items
-    cols = [[] for _ in range(dim)]
+    cols = [{} for _ in range(dim)]
     for (r, c), f in pairs:
         if not (0 <= r < dim and 0 <= c < dim):
             raise ValueError(f"entry ({r}, {c}) out of range for dim {dim}")
-        terms = f._terms if isinstance(f, QPoly) else ((0, f),)
-        cols[c].extend(({(r, 0): 1}, e, b) for e, b in terms)
-    return PolyMatrix(dim, tuple(_combine(col) for col in cols))
+        cols[c][r] = cols[c].get(r, 0) + pack(f)
+    return PolyMatrix(dim, tuple({r: v for r, v in col.items() if v} for col in cols))
 
 
 def to_json(m):
@@ -80,6 +79,40 @@ def test_text_rendering():
     assert str(QPoly({0: 1, 1: -1, 2: 1})) == "1 - q + q^2"
     assert str(QPoly({0: 2, 1: -2})) == "2 - 2 q"
     assert str(-Q) == "-q"
+
+
+# The widest digits that unpack exactly, and a few small ones.
+DIGIT = 2 ** (SHIFT - 1) - 1
+coefficient_lists = st.lists(
+    st.one_of(st.integers(-3, 3), st.sampled_from([DIGIT, -DIGIT])), max_size=6
+)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[], [1], [-1], [0, 1], [0, 0, -5], [3, 0, 0, -2], [-1, -1, -1], [DIGIT], [-DIGIT],
+     [DIGIT, -DIGIT, 0, DIGIT], [0, -DIGIT, DIGIT]],
+)
+def test_pack_and_unpack_round_trip(coeffs):
+    f = QPoly(dict(enumerate(coeffs)))
+    assert list(unpack([pack(f)])) == [coeffs]
+    assert pack(f) == sum(c * 2 ** (SHIFT * d) for d, c in enumerate(coeffs))
+
+
+def _coefficient_list(f):
+    return [f.coeffs.get(d, 0) for d in range(f.degree() + 1)]
+
+
+@given(coefficient_lists)
+def test_unpack_inverts_pack(coeffs):
+    f = QPoly(dict(enumerate(coeffs)))
+    assert list(unpack([pack(f)])) == [_coefficient_list(f)]
+
+
+@given(polys(), polys())
+def test_packed_sum_and_product_unpack_to_the_qpoly_ones(f, g):
+    packed = [pack(f) + pack(g), pack(f) * pack(g), pack(f) - pack(f)]
+    assert list(unpack(packed)) == [_coefficient_list(f + g), _coefficient_list(f * g), []]
 
 
 def test_matrix_identity_and_trace():
