@@ -143,10 +143,11 @@ def pack(f: QPoly | int) -> int:
 
 def unpack(values: Iterable[int]) -> Iterator[list[int]]:
     """The coefficients [c_0, c_1, ..., c_degree] of each packed polynomial in ``values``."""
+    half, base = 1 << SHIFT - 1, 1 << SHIFT
     for v in values:
         coeffs = []
         while v:
-            c = (v + (1 << SHIFT - 1)) % (1 << SHIFT) - (1 << SHIFT - 1)
+            c = (v + half) % base - half
             coeffs.append(c)
             v = (v - c) >> SHIFT
         yield coeffs
@@ -169,9 +170,10 @@ class PolyMatrix:
         return {(r, c, d): a for r, c, coeffs in self._cells() for d, a in enumerate(coeffs) if a}
 
     def _cells(self) -> list[tuple[int, int, list[int]]]:
-        """(row, col, coefficient list) for every nonzero entry, in (row, col) order."""
-        cells = sorted((r, c, v) for c, col in enumerate(self.cols) for r, v in col.items())
-        return [(r, c, coeffs) for (r, c, _), coeffs in zip(cells, unpack(v for *_, v in cells))]
+        """(row, col, coefficient list) for every nonzero entry, column by column."""
+        keys = [(r, c) for c, col in enumerate(self.cols) for r in col]
+        values = unpack(v for col in self.cols for v in col.values())
+        return [(r, c, coeffs) for (r, c), coeffs in zip(keys, values)]
 
     def poly_entries(self) -> dict[tuple[int, int], QPoly]:
         """Every nonzero entry as a QPoly, keyed (row, col): the output boundary."""
@@ -220,11 +222,12 @@ class PolyMatrix:
         """Write ``json.dumps({"dim": d, "entries": [[row, col, [c0, ...]], ...]})`` and a newline
         off the packed columns, building no QPoly and no whole string (int lists print as JSON)."""
         out.write(f'{{"dim": {self.dim}, "entries": [')
-        cells = enumerate(self._cells())
+        cells = enumerate(sorted(self._cells()))
         out.writelines(f"{', ' if k else ''}[{r}, {c}, {coeffs}]" for k, (r, c, coeffs) in cells)
         out.write("]}\n")
 
     def write_text(self, out) -> None:
         """Write ``dim d`` and one ``(row,col) polynomial`` line per entry, in (row, col) order."""
         out.write(f"dim {self.dim}\n")
-        out.writelines(f"({r},{c}) {QPoly(enumerate(coeffs))}\n" for r, c, coeffs in self._cells())
+        cells = sorted(self._cells())
+        out.writelines(f"({r},{c}) {QPoly(enumerate(coeffs))}\n" for r, c, coeffs in cells)
