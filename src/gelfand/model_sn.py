@@ -140,10 +140,10 @@ def rho_matrix(p: Window, basis: ModelBasis) -> SignedPermMatrix:
     The 2-cycles of p w p^-1 are the (p(a) p(b)) for the 2-cycles (a b) of w,
     and the sign counts the (a b) that p inverts.  So each pair a < b gets the
     step (bit of its image pair) << 4 | inverted, and the sum of the steps of
-    w's 2-cycles gives the row by its bitmask and the sign by its parity (w has
-    at most n/2 < 16 2-cycles).  Each element is computed on its own, never as
-    a product over a generator word, so that the multiplicativity check
-    compares two independent constructions.
+    w's 2-cycles gives the row by its bitmask and the sign by its parity (the
+    four low bits hold the at most n/2 inversions while n < 32).  Each element
+    is computed on its own, never as a product over a generator word, so that
+    the multiplicativity check compares two independent constructions.
     """
     n = basis.n
     if len(p) != n:
