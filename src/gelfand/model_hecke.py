@@ -14,7 +14,9 @@ from typing import Iterator, Literal, Mapping
 
 from . import perm
 from .errors import CapacityError, InternalConsistencyError, require, require_suite
-from .model_sn import ModelBasis, model_basis, pair_orbits, relation_checks, rho_generator_matrix
+from .model_sn import (
+    ModelBasis, conjugates, model_basis, pair_orbits, relation_checks, rho_generator_matrix
+)
 from .perm import Partition, Window
 from .qpoly import ONE, Q, SHIFT, PolyMatrix, QPoly, pack, unpack
 from .qpoly import minus_q_power  # noqa: F401 (perfbench probes it)
@@ -64,11 +66,10 @@ def _conjugation_distances(n: int, k: int) -> dict[Window, int]:
     base point to w: a reduced word for any conjugator walks the graph one
     generator at a time, and any walk yields a conjugator of its length.
     """
-    gens = [perm.generator(n, i) for i in range(1, n)]
-    paths = perm.bfs(
-        minimal_involution(n, k), lambda v: [perm.compose(s, perm.compose(v, s)) for s in gens]
-    )
-    return {w: len(path) for w, path in paths.items()}
+    basis = model_basis(n)
+    tables = [conjugates(n, i) for i in range(1, n)]
+    paths = perm.bfs(basis.index[minimal_involution(n, k)], lambda c: [t[c] for t in tables])
+    return {basis.involutions[c]: len(path) for c, path in paths.items()}
 
 
 def involutive_length_oracle(w: Window) -> int:
@@ -89,11 +90,12 @@ def involutive_order(n: int) -> dict[Window, int]:
 def cover_edges(n: int) -> list[tuple[Window, int, Window]]:
     """The covers (w, i, s_i w s_i) of the involutive weak order, one length apart."""
     lengths = involutive_order(n)
+    invs = model_basis(n).involutions
+    tables = [conjugates(n, i) for i in range(1, n)]
     edges = []
-    for w in lengths:
-        for i in range(1, n):
-            s = perm.generator(n, i)
-            v = perm.compose(s, perm.compose(w, s))
+    for c, w in enumerate(invs):
+        for i, t in enumerate(tables, 1):
+            v = invs[t[c]]
             if lengths[v] == lengths[w] + 1:
                 edges.append((w, i, v))
     return edges
@@ -115,28 +117,27 @@ def _case(w: Window, v: Window, i: int, lengths: Mapping[Window, int]) -> CaseTa
 
 def order_relation(w: Window, i: int) -> CaseTag:
     """Which of the four action cases applies to (s_i, w)."""
-    n = len(w)
-    s = perm.generator(n, i)
-    return _case(w, perm.compose(s, perm.compose(w, s)), i, involutive_order(n))
+    basis = model_basis(len(w))
+    v = basis.involutions[conjugates(basis.n, i)[basis.index[w]]]
+    return _case(w, v, i, involutive_order(basis.n))
 
 
 def rho_q_generator(i: int, basis: ModelBasis) -> PolyMatrix:
     """Matrix of T_i: at most two nonzero entries per column, of coefficient 1-norm <= 3."""
-    s = perm.generator(basis.n, i)
     lengths = involutive_order(basis.n)
+    invs = basis.involutions
     q = pack(Q)
     cols = []
-    for c, w in enumerate(basis.involutions):
-        v = perm.compose(s, perm.compose(w, s))
-        tag = _case(w, v, i, lengths)
+    for c, r in enumerate(conjugates(basis.n, i)):
+        tag = _case(invs[c], invs[r], i, lengths)
         if tag == "fixed_descent":
             cols.append({c: -q})
         elif tag == "fixed_nondescent":
             cols.append({c: 1})
         elif tag == "up":
-            cols.append({c: 1 - q, basis.index[v]: q})
+            cols.append({c: 1 - q, r: q})
         else:
-            cols.append({basis.index[v]: 1})
+            cols.append({r: 1})
     return PolyMatrix(basis.dim, tuple(cols))
 
 
@@ -296,12 +297,14 @@ def verify_hecke_model(n: int) -> Report:
         )
     ]
 
+    invs = basis.involutions
+    tables = [conjugates(n, i) for i in range(1, n)]
     case_bad = None
     tags: dict[str, int] = {}
     try:
-        for w in basis.involutions:
-            for i in range(1, n):
-                tag = order_relation(w, i)
+        for c, w in enumerate(invs):
+            for i, t in enumerate(tables, 1):
+                tag = _case(w, invs[t[c]], i, lengths)
                 tags[tag] = tags.get(tag, 0) + 1
     except InternalConsistencyError as exc:
         case_bad = str(exc)
@@ -313,17 +316,13 @@ def verify_hecke_model(n: int) -> Report:
         )
     )
 
-    simple = [perm.generator(n, i) for i in range(1, n)]
     checks.append(
         first_failure(
             "every non-minimal involution has a downward cover",
             (
                 f"fails at w={w}"
-                for w in basis.involutions
-                if lengths[w] > 0
-                and all(
-                    lengths[perm.compose(s, perm.compose(w, s))] != lengths[w] - 1 for s in simple
-                )
+                for c, w in enumerate(invs)
+                if lengths[w] > 0 and all(lengths[invs[t[c]]] != lengths[w] - 1 for t in tables)
             ),
         )
     )

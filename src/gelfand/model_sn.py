@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import factorial
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import perm
 from .errors import require, require_suite
@@ -28,8 +27,7 @@ SAMPLED_PAIRS = 200
 SAMPLED_TRIPLES = 200
 
 
-@dataclass(frozen=True)
-class ModelBasis:
+class ModelBasis(NamedTuple):
     """Involutions of S_n in canonical (lexicographic window) order."""
 
     n: int
@@ -47,8 +45,20 @@ def model_basis(n: int) -> ModelBasis:
     return ModelBasis(n=n, involutions=invs, index={w: i for i, w in enumerate(invs)})
 
 
-@dataclass(frozen=True)
-class SignedPermMatrix:
+@lru_cache(maxsize=None)
+def conjugates(n: int, i: int) -> tuple[int, ...]:
+    """The basis index of s_i w s_i for each w of ``model_basis(n)``, conjugated as windows.
+
+    Every reader of conjugation by s_i on the basis reads this table: the
+    generator matrices, the orbit walks, the Hecke cases and covers, and the
+    length BFS.  An i outside 1..n-1 raises ValueError.
+    """
+    basis = model_basis(n)
+    s = perm.generator(n, i)
+    return tuple([basis.index[perm.compose(s, perm.compose(w, s))] for w in basis.involutions])
+
+
+class SignedPermMatrix(NamedTuple):
     """Matrix with one +-1 entry per row and column, stored column-wise."""
 
     dim: int
@@ -62,10 +72,8 @@ class SignedPermMatrix:
     def __matmul__(self, other: "SignedPermMatrix") -> "SignedPermMatrix":
         if self.dim != other.dim:
             raise ValueError(f"dim mismatch: {self.dim} vs {other.dim}")
-        rows = tuple(self.rows[r] for r in other.rows)
-        signs = tuple(
-            self.signs[other.rows[c]] * other.signs[c] for c in range(self.dim)
-        )
+        rows = tuple([self.rows[r] for r in other.rows])
+        signs = tuple([self.signs[r] * s for r, s in zip(other.rows, other.signs)])
         return SignedPermMatrix(self.dim, rows, signs)
 
     def trace(self) -> int:
@@ -98,40 +106,37 @@ def inv_w(p: Window, w: Window) -> int:
 
 
 def signed_conjugation(
-    basis: ModelBasis,
-    s: tuple[int, ...],
-    compose: Callable[[Any, Any], Any],
-    descent: Callable[[Any], bool],
+    basis: ModelBasis, rows: Sequence[int], descent: Callable[[Any], bool]
 ) -> SignedPermMatrix:
-    """Action of the involutive generator s: C_w goes to -C_w or to C_{s w s}.
+    """Action of an involutive generator s: C_w goes to -C_w or to C_{s w s}.
 
+    ``rows[c]`` is the basis index of s w s for w = basis.involutions[c].
     The sign is -1 exactly when s fixes w by conjugation and ``descent(w)``
-    holds.  S_n and B_n both build their generator matrices here.
+    holds.  S_n passes its ``conjugates`` table and B_n its own rows, so both
+    build their generator matrices here.
     """
-    rows = []
-    signs = []
-    for w in basis.involutions:
-        sws = compose(s, compose(w, s))
-        rows.append(basis.index[sws])
-        signs.append(-1 if sws == w and descent(w) else 1)
+    invs = basis.involutions
+    signs = [-1 if r == c and descent(invs[c]) else 1 for c, r in enumerate(rows)]
     return SignedPermMatrix(basis.dim, tuple(rows), tuple(signs))
 
 
 def rho_generator_matrix(i: int, basis: ModelBasis) -> SignedPermMatrix:
     """Action of s_i from the two-case sign rule (no inversion counting)."""
-    s = perm.generator(basis.n, i)
-    return signed_conjugation(basis, s, perm.compose, lambda w: w[i - 1] > w[i])
+    return signed_conjugation(basis, conjugates(basis.n, i), lambda w: w[i - 1] > w[i])
 
 
 @lru_cache(maxsize=None)
-def _pair_codes(n: int) -> tuple[dict[tuple[int, int], int], list[tuple[int, ...]], dict[int, int]]:
-    """Index k of each pair a < b, each basis involution as the k of its 2-cycles,
-    and the basis index of each involution keyed by its bitmask, sum of 2^k."""
+def _pair_codes(n: int) -> tuple[dict[tuple[int, int], int], list[tuple[int, int]], dict[int, int]]:
+    """Index k of each pair a < b; (parent index, k of the last 2-cycle) for each basis
+    involution after the identity; and the basis index of each involution keyed by its
+    bitmask, sum of 2^k.  The parent, w without its last 2-cycle, is lexicographically
+    smaller than w, so it comes earlier in the basis."""
     pair_index = {ab: k for k, ab in enumerate(itertools.combinations(range(1, n + 1), 2))}
-    bits = [1 << k for k in range(len(pair_index))]
     invs = model_basis(n).involutions
     cycles = [tuple([pair_index[a, x] for a, x in enumerate(w, 1) if x > a]) for w in invs]
-    return pair_index, cycles, {sum(map(bits.__getitem__, t)): j for j, t in enumerate(cycles)}
+    position = {t: j for j, t in enumerate(cycles)}
+    tree = [(position[t[:-1]], t[-1]) for t in cycles[1:]]
+    return pair_index, tree, {sum(1 << k for k in t): j for t, j in position.items()}
 
 
 def rho_matrix(p: Window, basis: ModelBasis) -> SignedPermMatrix:
@@ -141,19 +146,23 @@ def rho_matrix(p: Window, basis: ModelBasis) -> SignedPermMatrix:
     and the sign counts the (a b) that p inverts.  So each pair a < b gets the
     step (bit of its image pair) << 4 | inverted, and the sum of the steps of
     w's 2-cycles gives the row by its bitmask and the sign by its parity (the
-    four low bits hold the at most n/2 inversions while n < 32).  Each element
+    four low bits hold the at most n/2 inversions while n < 32).  The sums
+    are taken along the basis tree of ``_pair_codes``: w's sum is its parent's
+    plus the step of its last 2-cycle, one addition per element.  Each element
     is computed on its own, never as a product over a generator word, so that
     the multiplicativity check compares two independent constructions.
     """
     n = basis.n
     if len(p) != n:
         raise ValueError(f"size mismatch: {len(p)} vs n={n}")
-    pair_index, cycles, code_index = _pair_codes(n)
+    pair_index, tree, code_index = _pair_codes(n)
     step = []
     for a, b in pair_index:
         x, y = p[a - 1], p[b - 1]
         step.append(1 << pair_index[min(x, y), max(x, y)] << 4 | (x > y))
-    sums = [sum(map(step.__getitem__, t)) for t in cycles]
+    sums = [0]
+    for parent, k in tree:
+        sums.append(sums[parent] + step[k])
     rows = tuple([code_index[s >> 4] for s in sums])
     return SignedPermMatrix(basis.dim, rows, tuple([-1 if s & 1 else 1 for s in sums]))
 
@@ -217,26 +226,29 @@ def orbit_walk(i: int, w: Window) -> tuple[tuple[Window, ...], tuple[int, int] |
     orbit is a path or a cycle whose steps alternate between them.  A path
     is walked end to end, and ``ends`` names the generators fixing walk[0]
     and walk[-1].  A cycle has no fixed end: it is walked from w, s_i first,
-    and ``ends`` is None.  An i outside 1..n-2 raises ValueError.
+    and ``ends`` is None.  The steps are read off the ``conjugates`` tables of
+    s_i and s_{i+1} by basis index.  An i outside 1..n-2 raises ValueError.
 
     >>> orbit_walk(1, (2, 1, 3))
     (((1, 3, 2), (3, 2, 1), (2, 1, 3)), (2, 1))
     """
-    gens = (perm.generator(len(w), i), perm.generator(len(w), i + 1))
-    walk, ends, k = [w], [], 0
+    basis = model_basis(len(w))
+    tables = (conjugates(basis.n, i), conjugates(basis.n, i + 1))
+    invs, start = basis.involutions, basis.index[w]
+    walk, ends, k = [start], [], 0
     while len(ends) < 2:
-        v = perm.compose(gens[k], perm.compose(walk[-1], gens[k]))
+        v = tables[k][walk[-1]]
         if v == walk[-1]:
             # An end, fixed by s_{i+k}: turn round and walk on from w by s_{i+1}.
             ends.insert(0, i + k)
             walk.reverse()
             k = 1
-        elif v == w:
-            return tuple(walk), None
+        elif v == start:
+            return tuple([invs[c] for c in walk]), None
         else:
             walk.append(v)
             k = 1 - k
-    return tuple(walk), (ends[0], ends[1])
+    return tuple([invs[c] for c in walk]), (ends[0], ends[1])
 
 
 def pair_orbits(n: int) -> Iterator[tuple[int, tuple[Window, ...], tuple[int, int] | None]]:

@@ -8,8 +8,7 @@ entries are unpacked only for output, from ``entries`` to the two writers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
 class QPoly:
@@ -153,8 +152,7 @@ def unpack(values: Iterable[int]) -> Iterator[list[int]]:
         yield coeffs
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(NamedTuple):
     """Square matrix over Z[q]; column c maps each row to its nonzero entry, packed."""
 
     dim: int

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -22,8 +20,7 @@ def first_failure(name: str, failures: Iterable[str], passed: str = "") -> Check
     return Check(name, witness is None, passed if witness is None else witness)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     scope: str
     n: int
     checks: tuple[Check, ...]

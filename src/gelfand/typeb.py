@@ -92,8 +92,10 @@ def b_shortest_words(n: int) -> dict[SignedWindow, tuple[int, ...]]:
 
 def rho_b_generator(i: int, basis: ModelBasis) -> SignedPermMatrix:
     """Signed conjugation by a generator on the involution basis."""
+    s = b_generator(basis.n, i)
+    rows = [basis.index[b_compose(s, b_compose(w, s))] for w in basis.involutions]
     descent = (lambda w: w[0] < 0) if i == 0 else (lambda w: abs(w[i - 1]) > abs(w[i]))
-    return signed_conjugation(basis, b_generator(basis.n, i), b_compose, descent)
+    return signed_conjugation(basis, rows, descent)
 
 
 def rho_b_of_element(

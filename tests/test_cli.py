@@ -276,6 +276,19 @@ def test_one_wrong_trace_row_fails_verify_and_characters(capsys, monkeypatch, ta
     assert out.count("MISMATCH") == 1
 
 
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # Every cold call pays for what ``import gelfand.cli`` loads; isolated
+    # mode (-I -S) keeps site packages and environment variables out of it.
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import gelfand.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize(
     "fmt, first", [("text", b"index"), ("csv", b"index"), ("json", b"[")],
     ids=["text", "csv", "json"],

@@ -47,6 +47,19 @@ def test_formula_matches_oracle(n):
         assert involutive_length(w) == involutive_length_oracle(w)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_conjugation_distances_match_the_window_bfs(n):
+    # The BFS before the conjugates tables: nodes are windows and each move
+    # conjugates by a generator.
+    gens = [perm.generator(n, i) for i in range(1, n)]
+    for k in range(n // 2 + 1):
+        paths = perm.bfs(
+            minimal_involution(n, k), lambda v: [perm.compose(s, perm.compose(v, s)) for s in gens]
+        )
+        expected = {w: len(path) for w, path in paths.items()}
+        assert model_hecke._conjugation_distances(n, k) == expected
+
+
 def _rank_dict_length(w):
     """The closed formula as first written: support ranks through a dict, one generator."""
     pairs = perm.involution_pairs(w)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gelfand import perm, typeb
+from gelfand import model_sn, perm, typeb
 from gelfand.errors import CapacityError
 from gelfand.model_sn import (
     SignedPermMatrix,
     class_traces,
+    conjugates,
     fs_count_formula,
     inv_w,
     model_basis,
@@ -206,6 +207,31 @@ def test_pair_orbits_cover_the_basis_once(n):
 
 def _conj(s, v):
     return perm.compose(s, perm.compose(v, s))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_conjugates_table_is_window_conjugation(n):
+    basis = model_basis(n)
+    for i in range(1, n):
+        s = perm.generator(n, i)
+        assert conjugates(n, i) == tuple(basis.index[_conj(s, w)] for w in basis.involutions)
+
+
+def test_broken_conjugates_row_fails_the_sign_rule_check(monkeypatch):
+    # Send two involutions fixed by s_2 to each other: the row stays an
+    # involution of the basis, so every walk ends, but it is no longer
+    # conjugation by s_2, and rho_matrix(s_2) disagrees with it.
+    n = 5
+    row = list(conjugates(n, 2))
+    a, b = [c for c, r in enumerate(row) if r == c][:2]
+    row[a], row[b] = row[b], row[a]
+    original = model_sn.conjugates
+    monkeypatch.setattr(
+        model_sn, "conjugates", lambda m, i: tuple(row) if i == 2 else original(m, i)
+    )
+    checks = {c.name: c for c in verify_sn_model(n).checks}
+    check = checks["sign rule and inversion count give the same generator action"]
+    assert (check.passed, check.detail) == (False, "disagree at i=2")
 
 
 @pytest.mark.parametrize("n", range(3, 8))

@@ -91,6 +91,23 @@ def test_shortest_words_are_least_among_shortest(n):
     assert b_shortest_words(n) == expected
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_generators_match_the_windowed_construction(n):
+    # Each generator matrix as built from (s, b_compose) before the rows were
+    # passed in: conjugate every involution's window, sign -1 where s fixes
+    # it at a descent.
+    basis = b_model_basis(n)
+    for i in range(n):
+        s = b_generator(n, i)
+        images = [b_compose(s, b_compose(w, s)) for w in basis.involutions]
+        descents = [w[0] < 0 if i == 0 else abs(w[i - 1]) > abs(w[i]) for w in basis.involutions]
+        m = rho_b_generator(i, basis)
+        assert m.rows == tuple(basis.index[v] for v in images)
+        assert m.signs == tuple(
+            -1 if v == w and d else 1 for v, w, d in zip(images, basis.involutions, descents)
+        )
+
+
 def test_sign_flip_generator_action():
     basis = b_model_basis(1)
     m = rho_b_generator(0, basis)
