@@ -35,7 +35,7 @@ def compose(p: Window, r: Window) -> Window:
     """
     if len(p) != len(r):
         raise ValueError(f"size mismatch: {len(p)} vs {len(r)}")
-    return tuple(p[x - 1] for x in r)
+    return tuple([p[x - 1] for x in r])
 
 
 def inverse(p: Window) -> Window:

@@ -35,7 +35,7 @@ def b_compose(u: SignedWindow, v: SignedWindow) -> SignedWindow:
     """Product acting as b_compose(u, v)(i) = u(v(i)), with u(-j) = -u(j)."""
     if len(u) != len(v):
         raise ValueError(f"size mismatch: {len(u)} vs {len(v)}")
-    return tuple(u[x - 1] if x > 0 else -u[-x - 1] for x in v)
+    return tuple([u[x - 1] if x > 0 else -u[-x - 1] for x in v])
 
 
 def b_generator(n: int, i: int) -> SignedWindow:
