@@ -132,11 +132,15 @@ def _pair_codes(n: int) -> tuple[dict[tuple[int, int], int], list[tuple[int, int
     bitmask, sum of 2^k.  The parent, w without its last 2-cycle, is lexicographically
     smaller than w, so it comes earlier in the basis."""
     pair_index = {ab: k for k, ab in enumerate(itertools.combinations(range(1, n + 1), 2))}
-    invs = model_basis(n).involutions
-    cycles = [tuple([pair_index[a, x] for a, x in enumerate(w, 1) if x > a]) for w in invs]
-    position = {t: j for j, t in enumerate(cycles)}
-    tree = [(position[t[:-1]], t[-1]) for t in cycles[1:]]
-    return pair_index, tree, {sum(1 << k for k in t): j for t, j in position.items()}
+    code_index: dict[int, int] = {}
+    tree = []
+    for j, w in enumerate(model_basis(n).involutions):
+        ks = [pair_index[a, x] for a, x in enumerate(w, 1) if x > a]
+        code = sum(1 << k for k in ks)
+        code_index[code] = j
+        if ks:
+            tree.append((code_index[code - (1 << ks[-1])], ks[-1]))
+    return pair_index, tree, code_index
 
 
 def rho_matrix(p: Window, basis: ModelBasis) -> SignedPermMatrix:
