@@ -49,8 +49,8 @@ def test_formula_matches_oracle(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_conjugation_distances_match_the_window_bfs(n):
-    # The BFS before the conjugates tables: nodes are windows and each move
-    # conjugates by a generator.
+    # The reference BFS: nodes are windows, and each move conjugates a window
+    # by a generator.
     gens = [perm.generator(n, i) for i in range(1, n)]
     for k in range(n // 2 + 1):
         paths = perm.bfs(

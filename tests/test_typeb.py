@@ -93,9 +93,8 @@ def test_shortest_words_are_least_among_shortest(n):
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_generators_match_the_windowed_construction(n):
-    # Each generator matrix as built from (s, b_compose) before the rows were
-    # passed in: conjugate every involution's window, sign -1 where s fixes
-    # it at a descent.
+    # The reference construction: conjugate every involution's window by s
+    # with b_compose, and sign -1 where s fixes it at a descent.
     basis = b_model_basis(n)
     for i in range(n):
         s = b_generator(n, i)
