@@ -210,17 +210,21 @@ def fs_count_formula(mult: Mapping[int, int]) -> int:
 def class_traces(n: int, mu: Partition | None = None) -> Iterator[tuple[Partition, int, int, int]]:
     """(class, trace, square-root count, product formula) per cycle type, or for ``mu`` alone.
 
-    The ``square_roots`` cap is checked before the basis is built.
+    The ``square_roots`` cap is checked before the basis is built.  The
+    square-root counts of all the rows come from one exhaustive sweep of S_n
+    that counts only their representatives.
 
     >>> list(class_traces(3))
     [((3,), 1, 1, 1), ((2, 1), 0, 0, 0), ((1, 1, 1), 4, 4, 4)]
     """
     require("square_roots", n)
     basis = model_basis(n)
-    for ct, rep in perm.conjugacy_class_reps(n):
-        if mu is None or ct == mu:
-            tr = rho_character(rep, basis)
-            yield ct, tr, perm.square_roots_count(rep), fs_count_formula(perm.multiplicities(ct))
+    reps = [(ct, rep) for ct, rep in perm.conjugacy_class_reps(n) if mu is None or ct == mu]
+    roots = perm.square_root_counts(
+        itertools.permutations(range(1, n + 1)), perm.compose, [rep for _, rep in reps]
+    )
+    for ct, rep in reps:
+        yield ct, rho_character(rep, basis), roots[rep], fs_count_formula(perm.multiplicities(ct))
 
 
 def orbit_walk(i: int, w: Window) -> tuple[tuple[Window, ...], tuple[int, int] | None]:
@@ -354,8 +358,8 @@ def verify_sn_model(n: int, *, seed: int = 0) -> Report:
     """Check the defining relations, homomorphy and the character identities.
 
     ``seed`` drives the sampled homomorphy pairs.  The square-root counts on
-    every class come from one shared exhaustive sweep of S_n (see
-    ``perm.square_roots_count``).
+    every class come from one exhaustive sweep of S_n that counts the class
+    representatives alone (see ``class_traces``).
     """
     require_suite("sn", n)
     basis = model_basis(n)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import require
@@ -137,36 +136,35 @@ def enumerate_involutions(n: int) -> tuple[Window, ...]:
     return tuple(sorted(out))
 
 
-def square_histogram(
-    elements: Iterable[Window], compose: Callable[[Window, Window], Window]
+def square_root_counts(
+    elements: Iterable[Window],
+    compose: Callable[[Window, Window], Window],
+    targets: Iterable[Window],
 ) -> dict[Window, int]:
-    """How many u among ``elements`` have compose(u, u) = g, for every square g.
+    """How many u among ``elements`` have compose(u, u) = g, for each g in ``targets``.
 
-    Keyed by the square itself, not by its class, so an oracle built on it
-    does not presume that the count is a class function.
+    One sweep that visits every u but keeps a count only for the asked g; a g
+    that is no square counts 0.  Keyed by the element g itself, not by its
+    class, so an oracle built on it does not presume that the count is a
+    class function.
     """
-    counts: dict[Window, int] = {}
+    counts = dict.fromkeys(targets, 0)
     for u in elements:
         sq = compose(u, u)
-        counts[sq] = counts.get(sq, 0) + 1
+        if sq in counts:
+            counts[sq] += 1
     return counts
-
-
-@lru_cache(maxsize=None)
-def _square_counts(n: int) -> dict[Window, int]:
-    """How many u in S_n have u*u = p, for every square p: one sweep of S_n."""
-    return square_histogram(itertools.permutations(range(1, n + 1)), compose)
 
 
 def square_roots_count(p: Window) -> int:
     """Number of u with u*u = p, found by exhausting S_n.
 
     Deliberately brute force so it can serve as an oracle for closed-form
-    counts: every call at the same n reads one shared exhaustive sweep of S_n.
-    Refuses n beyond the ``square_roots`` cap.
+    counts: each call sweeps S_n once, for p alone.  Refuses n beyond the
+    ``square_roots`` cap.
     """
     require("square_roots", len(p))
-    return _square_counts(len(p)).get(p, 0)
+    return square_root_counts(itertools.permutations(range(1, len(p) + 1)), compose, [p])[p]
 
 
 def is_partition(parts: Sequence[int]) -> bool:

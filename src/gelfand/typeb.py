@@ -112,27 +112,21 @@ def rho_b_of_element(
     return out
 
 
-@lru_cache(maxsize=None)
-def _b_square_counts(n: int) -> dict[SignedWindow, int]:
-    """How many u in B_n have u*u = g, for every square g: one sweep of B_n."""
-    return perm.square_histogram(b_elements(n), b_compose)
-
-
 def b_square_roots_count(g: SignedWindow) -> int:
     """Number of u in B_n with u*u = g, by exhaustion, within the ``b_square_roots`` cap.
 
-    Every call at the same n reads one shared exhaustive sweep of B_n.
+    Each call sweeps B_n once, for g alone.
     """
     require("b_square_roots", len(g))
-    return _b_square_counts(len(g)).get(g, 0)
+    return perm.square_root_counts(b_elements(len(g)), b_compose, [g])[g]
 
 
-@lru_cache(maxsize=None)
 def b_conjugacy_class_reps(n: int) -> tuple[SignedWindow, ...]:
     """Canonical (sort-key minimal) representative per conjugacy class.
 
-    One sweep of B_n in sort-key order: each element not yet seen opens a new
-    class, whose whole orbit is then found by conjugating with the generators.
+    One sweep of B_n in sort-key order per call: each element not yet seen
+    opens a new class, whose whole orbit is then found by conjugating with
+    the generators.
     """
     gens = [b_generator(n, i) for i in range(n)]
     seen: set[SignedWindow] = set()
@@ -153,8 +147,9 @@ def pairs_of_partitions_count(n: int) -> int:
 def verify_b_model(n: int) -> Report:
     """Check the type-B relations and the square-root trace identity.
 
-    The square-root counts come from one shared exhaustive sweep of B_n and
-    the class representatives from one orbit search over B_n.
+    The class representatives come from one orbit search over B_n, and the
+    square-root counts of the checked elements and the identity from one
+    exhaustive sweep of B_n that counts those alone.
     """
     require_suite("typeb", n)
     basis = b_model_basis(n)
@@ -174,14 +169,11 @@ def verify_b_model(n: int) -> Report:
         checks.append(Check("s0 s1 has order four", m01 @ m01 @ m01 @ m01 == ident, ""))
     checks += [braid, commute]
 
-    elements = (
-        sorted(b_elements(n), key=signed_sort_key)
-        if n <= 3
-        else list(b_conjugacy_class_reps(n))
-    )
-    traces = (
-        (g, rho_b_of_element(g, basis, gens).trace(), b_square_roots_count(g)) for g in elements
-    )
+    reps = b_conjugacy_class_reps(n)
+    elements = sorted(b_elements(n), key=signed_sort_key) if n <= 3 else reps
+    e = b_identity(n)
+    roots = perm.square_root_counts(b_elements(n), b_compose, [*elements, e])
+    traces = ((g, rho_b_of_element(g, basis, gens).trace(), roots[g]) for g in elements)
     checks.append(
         first_failure(
             "trace counts square roots",
@@ -191,8 +183,8 @@ def verify_b_model(n: int) -> Report:
     )
 
     dim = basis.dim
-    roots_of_id = b_square_roots_count(b_identity(n))
-    tr_id = rho_b_of_element(b_identity(n), basis, gens).trace()
+    roots_of_id = roots[e]
+    tr_id = rho_b_of_element(e, basis, gens).trace()
     checks.append(
         Check(
             "dimension equals the square-root count of the identity",
@@ -202,7 +194,7 @@ def verify_b_model(n: int) -> Report:
     )
 
     class_count = pairs_of_partitions_count(n)
-    found_classes = len(b_conjugacy_class_reps(n))
+    found_classes = len(reps)
     checks.append(
         Check(
             "class count equals the pairs-of-partitions count",

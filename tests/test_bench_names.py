@@ -11,6 +11,7 @@ selftest.
 import ast
 import functools
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,19 @@ NAMES = sorted(
     | _assigned_strings(TRACER, "GENERATOR_BUILDERS")
 )
 PROBED = _probed_chains()
+# Each cache.<module>.<function>.<stat> metric of BENCHMARK.json is read off
+# that function's lru_cache in a traced run; an uncached or deleted builder
+# would leave the metric off the run's last line.
+BENCH_CACHES = sorted(
+    {
+        name.split(".")[1] + "." + name.split(".")[2]
+        for name in (
+            m["name"]
+            for m in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+        )
+        if name.startswith("cache.")
+    }
+)
 
 
 def test_names_were_found():
@@ -118,6 +132,7 @@ def test_names_were_found():
     assert "model_sn.model_basis" in CACHED
     assert "model_hecke.minus_q_power" in PROBED
     assert "qpoly.QPoly.__dict__['constant'].__func__" in PROBED
+    assert "typeb.b_shortest_words" in BENCH_CACHES
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -127,6 +142,11 @@ def test_name_resolves(name):
 
 @pytest.mark.parametrize("name", CACHED)
 def test_cache_ratio_name_is_lru_cached(name):
+    assert isinstance(_resolve(name), functools._lru_cache_wrapper)
+
+
+@pytest.mark.parametrize("name", BENCH_CACHES)
+def test_benchmark_cache_name_is_lru_cached(name):
     assert isinstance(_resolve(name), functools._lru_cache_wrapper)
 
 

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -159,6 +160,34 @@ def test_trace_equals_roots_equals_formula(n):
         tr = rho_character(rep, basis)
         assert tr == perm.square_roots_count(rep)
         assert tr == fs_count_formula(perm.multiplicities(ct))
+
+
+@pytest.mark.parametrize("n", [4, 7])
+@pytest.mark.parametrize("all_classes", [True, False])
+def test_class_traces_sweep_once(monkeypatch, n, all_classes):
+    original = perm.square_root_counts
+    calls = []
+    monkeypatch.setattr(
+        perm, "square_root_counts", lambda *args: calls.append(1) or original(*args)
+    )
+    rows = list(class_traces(n) if all_classes else class_traces(n, (2,) + (1,) * (n - 2)))
+    assert calls == [1]
+    assert len(rows) == (len(list(perm.partitions(n))) if all_classes else 1)
+
+
+def test_class_traces_keep_no_square_table():
+    # Counting every square of S_8 peaked at 2.14 MB here; counting only the
+    # 22 class representatives keeps the peak near what the traces need.
+    model_basis(8)
+    model_sn._pair_codes(8)
+    tracemalloc.start()
+    try:
+        rows = list(class_traces(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(tr == roots == formula for _, tr, roots, formula in rows)
+    assert peak < 500_000
 
 
 @pytest.mark.parametrize("n", range(2, 5))

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gelfand import perm
@@ -127,6 +127,28 @@ def test_square_roots_match_per_element_exhaustion():
     for p in perms:
         expected = sum(1 for u in perms if perm.compose(u, u) == p)
         assert perm.square_roots_count(p) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_square_root_counts_match_per_element_exhaustion(n):
+    perms = list(itertools.permutations(range(1, n + 1)))
+    counts = perm.square_root_counts(iter(perms), perm.compose, perms)
+    assert counts == {p: sum(1 for u in perms if perm.compose(u, u) == p) for p in perms}
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.permutations(list(range(1, n + 1))).map(tuple), max_size=8)
+    )
+)
+@example([(2, 1), (2, 1), (1, 2)])
+def test_square_root_counts_of_any_targets(targets):
+    # Non-squares count 0 and a repeated target is one key; n is taken from
+    # the first target, so an empty list sweeps S_1.
+    n = len(targets[0]) if targets else 1
+    perms = list(itertools.permutations(range(1, n + 1)))
+    counts = perm.square_root_counts(iter(perms), perm.compose, targets)
+    assert counts == {p: sum(1 for u in perms if perm.compose(u, u) == p) for p in targets}
 
 
 def test_square_roots_cap():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from gelfand import perm, typeb
 from gelfand.errors import CapacityError
 from gelfand.typeb import (
     b_compose,
@@ -143,6 +144,32 @@ def test_b_square_roots_match_per_element_exhaustion():
     for g in elements:
         expected = sum(1 for u in elements if b_compose(u, u) == g)
         assert b_square_roots_count(g) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_b_square_root_counts_match_per_element_exhaustion(n):
+    elements = list(b_elements(n))
+    counts = perm.square_root_counts(iter(elements), b_compose, elements)
+    assert counts == {g: sum(1 for u in elements if b_compose(u, u) == g) for g in elements}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_verify_b_model_sweeps_once_and_searches_classes_once(monkeypatch, n):
+    calls = {"square_root_counts": 0, "b_conjugacy_class_reps": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(perm, "square_root_counts")
+    counted(typeb, "b_conjugacy_class_reps")
+    assert verify_b_model(n).passed
+    assert calls == {"square_root_counts": 1, "b_conjugacy_class_reps": 1}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
