@@ -117,12 +117,9 @@ PROBED = _probed_chains()
 # would leave the metric off the run's last line.
 BENCH_CACHES = sorted(
     {
-        name.split(".")[1] + "." + name.split(".")[2]
-        for name in (
-            m["name"]
-            for m in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
-        )
-        if name.startswith("cache.")
+        ".".join(m["name"].split(".")[1:3])
+        for m in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+        if m["name"].startswith("cache.")
     }
 )
 
