@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import model_hecke, model_sn, perm, rsk, typeb
 from .errors import CAPS, SUITES, CapacityError, InternalConsistencyError, require, require_suite
@@ -132,29 +132,15 @@ def _emit_table(fmt: str, records: Iterable[dict]) -> None:
         _emit_rows(fmt, header, ([_cell(k, r[k]) for k in header] for r in records))
 
 
-def _involution_records(n: int) -> Iterator[dict]:
-    """One listing record per involution of S_n, each read off its 2-cycles."""
-    for idx, w in enumerate(perm.enumerate_involutions(n)):
-        pairs = perm.involution_pairs(w)
-        yield {
-            "index": idx,
-            "window": list(w),
-            "cycles": "".join(["(%d %d)" % p for p in pairs]) or "e",
-            "length": model_hecke.involutive_length(w),
-            "descents": [i for i in range(1, n) if w[i - 1] > w[i]],
-            "pairs": list(map(list, pairs)),
-        }
-
-
-def _listing_row(r: dict) -> list[str]:
-    """The text and csv cells of one listing record, in its key order."""
+def _listing_row(index: int, w: tuple[int, ...], cycles: str, length: int) -> list[str]:
+    """The text and csv cells of one listing row: index, window, cycles, length, descents, pairs."""
     return [
-        str(r["index"]),
-        ",".join(map(str, r["window"])),
-        r["cycles"],
-        str(r["length"]),
-        " ".join(map(str, r["descents"])) or "-",
-        r["cycles"].replace(" ", ",") if r["pairs"] else "-",  # each "(a b)" as "(a,b)"
+        str(index),
+        ",".join(map(str, w)),
+        cycles,
+        str(length),
+        " ".join([str(i) for i in range(1, len(w)) if w[i - 1] > w[i]]) or "-",
+        cycles.replace(" ", ",") if cycles != "e" else "-",  # each "(a b)" as "(a,b)"
     ]
 
 
@@ -163,29 +149,30 @@ def _json_list(items, pad: str) -> str:
     return f"[{pad}{(',' + pad).join(map(str, items))}{pad[:-2]}]" if items else "[]"
 
 
-def _listing_json(r: dict) -> str:
-    """``[`` or ``,``, then one record laid out as by ``json.dumps(indent=2, sort_keys=True)``."""
+def _listing_json(index: int, w: tuple[int, ...], cycles: str, length: int) -> str:
+    """``[`` or ``,``, then one row laid out as by ``json.dumps(indent=2, sort_keys=True)``."""
     pad = "\n      "
-    pairs = ["[\n        %d,\n        %d\n      ]" % tuple(p) for p in r["pairs"]]
+    descents = [i for i in range(1, len(w)) if w[i - 1] > w[i]]
+    pairs = ["[\n        %d,\n        %d\n      ]" % (i, b) for i, b in enumerate(w, 1) if b > i]
     return (
         '%s\n  {\n    "cycles": "%s",\n    "descents": %s,\n    "index": %d,\n    "length": %d,\n'
         '    "pairs": %s,\n    "window": %s\n  }'
     ) % (
-        "," if r["index"] else "[", r["cycles"], _json_list(r["descents"], pad), r["index"],
-        r["length"], _json_list(pairs, pad), _json_list(r["window"], pad),
+        "," if index else "[", cycles, _json_list(descents, pad), index, length,
+        _json_list(pairs, pad), _json_list(w, pad),
     )
 
 
 def cmd_involutions(args: argparse.Namespace) -> int:
     require("involutions", args.n)
-    records = _involution_records(args.n)
+    walk = model_hecke.involution_walk(args.n)
     if args.fmt == "json":
         # S_n always has the identity, so the list is never empty.
-        sys.stdout.writelines(map(_listing_json, records))
+        sys.stdout.writelines(_listing_json(i, *row) for i, row in enumerate(walk))
         sys.stdout.write("\n]\n")
     else:
         header = ["index", "window", "cycles", "length", "descents", "pairs"]
-        _emit_rows(args.fmt, header, map(_listing_row, records))
+        _emit_rows(args.fmt, header, (_listing_row(i, *row) for i, row in enumerate(walk)))
     return 0
 
 

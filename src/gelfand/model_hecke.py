@@ -58,6 +58,49 @@ def involutive_length(w: Window) -> int:
     return sum(vals) - k * (2 * k + 1) + half
 
 
+def involution_walk(n: int) -> Iterator[tuple[Window, str, int]]:
+    """(window, cycle notation, involutive length) of every involution of S_n, in lex window order.
+
+    A depth-first walk of the involution tree: a node fixes its smallest open
+    letter a, or pairs it with a later open letter b, in that order, so the
+    leaves come in lex window order.  Each child extends its parent's cycle
+    string by "(a b)" and carries the length along.  Within the support each
+    2-cycle gives 1 inversion, a crossing pair of 2-cycles 2 and a nesting
+    pair 4, so ``involutive_length`` of w with k 2-cycles is
+    sum(a + b) - k(2k + 1) + crossings + 2 nestings.  Pairs come in rising a,
+    so adding (a b) as the k-th 2-cycle crosses each earlier b' in (a, b) and
+    nests in each earlier b' > b.  With f fixed points below a and j open
+    letters between a and b, it adds a + b + crossings + 2 nestings
+    = 4k - 1 + 2f + j, and 4k - 1 is the step of k(2k + 1): the walk adds 2f + j.
+
+    >>> [(w, c, l) for w, c, l in involution_walk(3) if l]
+    [((1, 3, 2), '(2 3)', 2), ((3, 2, 1), '(1 3)', 1)]
+    >>> list(involution_walk(4))[-1]
+    ((4, 3, 2, 1), '(1 4)(2 3)', 2)
+    """
+    image = [0] * n
+    stack = []
+    avail, cycles, length, fixed = tuple(range(1, n + 1)), "", 0, 0
+    while True:
+        if avail:
+            a, rest = avail[0], avail[1:]
+            # Pushed last, popped first: fixing a, then the partners b in rising order.
+            for j in range(len(rest) - 1, -1, -1):
+                b = rest[j]
+                cyc = f"{cycles}({a} {b})"
+                stack.append((a, b, rest[:j] + rest[j + 1 :], cyc, length + 2 * fixed + j, fixed))
+            stack.append((a, a, rest, cycles, length, fixed + 1))
+        else:
+            yield tuple(image), cycles or "e", length
+            if not stack:
+                return
+        # Every open letter is set again below this node, so what a sibling
+        # wrote into image never reaches a leaf.
+        a, b, avail, cycles, length, fixed = stack.pop()
+        image[a - 1] = b
+        image[b - 1] = a
+
+
 @lru_cache(maxsize=None)
 def _conjugation_distances(n: int, k: int) -> dict[Window, int]:
     """BFS distances from the minimal involution in the conjugation graph.

@@ -110,6 +110,9 @@ def fixed_points(p: Window) -> tuple[int, ...]:
 def enumerate_involutions(n: int) -> tuple[Window, ...]:
     """All involutions of S_n in lexicographic window order.
 
+    The search fixes the smallest open letter before pairing it with each
+    later letter in rising order, so it emits the windows in that order.
+
     >>> enumerate_involutions(2)
     ((1, 2), (2, 1))
     >>> len(enumerate_involutions(4))
@@ -133,7 +136,7 @@ def enumerate_involutions(n: int) -> tuple[Window, ...]:
             build(rest[:k] + rest[k + 1 :])
 
     build(tuple(range(1, n + 1)))
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def square_root_counts(

@@ -7,6 +7,7 @@ from gelfand.errors import CapacityError
 from gelfand.model_hecke import (
     cover_edges,
     hecke_model_character,
+    involution_walk,
     involutive_length,
     involutive_length_oracle,
     involutive_order,
@@ -82,6 +83,19 @@ def _rank_dict_length(w):
 def test_formula_matches_the_rank_dict_body(n):
     for w in perm.enumerate_involutions(n):
         assert involutive_length(w) == _rank_dict_length(w)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_involution_walk_matches_the_slow_path(n):
+    # The walk carries the cycle string and length down the involution tree;
+    # the slow path reads both off each window of the enumeration.
+    rows = list(involution_walk(n))
+    assert [w for w, _, _ in rows] == list(perm.enumerate_involutions(n))
+    for w, cycles, length in rows:
+        assert cycles == perm.cycle_notation(w)
+        assert length == involutive_length(w)
+        if n <= 8:
+            assert length == involutive_length_oracle(w)
 
 
 def test_oracle_cap():

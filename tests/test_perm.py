@@ -87,7 +87,7 @@ def test_involution_count_recurrence(n):
     assert len(perm.enumerate_involutions(n)) == _telephone(n)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_involutions_from_brute_force(n):
     brute = sorted(
         p
