@@ -165,7 +165,7 @@ def _listing_json(index: int, w: tuple[int, ...], cycles: str, length: int) -> s
 
 def cmd_involutions(args: argparse.Namespace) -> int:
     require("involutions", args.n)
-    walk = model_hecke.involution_walk(args.n)
+    walk = perm.involution_walk(args.n)
     if args.fmt == "json":
         # S_n always has the identity, so the list is never empty.
         sys.stdout.writelines(_listing_json(i, *row) for i, row in enumerate(walk))

@@ -36,6 +36,9 @@ def minimal_involution(n: int, k: int) -> Window:
 def involutive_length(w: Window) -> int:
     """Closed formula: excess support sum plus half the excess inversions.
 
+    The reference that the tests compare ``perm.involution_walk``'s lengths
+    and the BFS oracle against; the model's grading reads the walk.
+
     >>> involutive_length((2, 1, 4, 3))
     0
     >>> involutive_length((4, 3, 2, 1))
@@ -56,49 +59,6 @@ def involutive_length(w: Window) -> int:
     if rem:
         raise InternalConsistencyError(f"odd inversion excess for {w}")
     return sum(vals) - k * (2 * k + 1) + half
-
-
-def involution_walk(n: int) -> Iterator[tuple[Window, str, int]]:
-    """(window, cycle notation, involutive length) of every involution of S_n, in lex window order.
-
-    A depth-first walk of the involution tree: a node fixes its smallest open
-    letter a, or pairs it with a later open letter b, in that order, so the
-    leaves come in lex window order.  Each child extends its parent's cycle
-    string by "(a b)" and carries the length along.  Within the support each
-    2-cycle gives 1 inversion, a crossing pair of 2-cycles 2 and a nesting
-    pair 4, so ``involutive_length`` of w with k 2-cycles is
-    sum(a + b) - k(2k + 1) + crossings + 2 nestings.  Pairs come in rising a,
-    so adding (a b) as the k-th 2-cycle crosses each earlier b' in (a, b) and
-    nests in each earlier b' > b.  With f fixed points below a and j open
-    letters between a and b, it adds a + b + crossings + 2 nestings
-    = 4k - 1 + 2f + j, and 4k - 1 is the step of k(2k + 1): the walk adds 2f + j.
-
-    >>> [(w, c, l) for w, c, l in involution_walk(3) if l]
-    [((1, 3, 2), '(2 3)', 2), ((3, 2, 1), '(1 3)', 1)]
-    >>> list(involution_walk(4))[-1]
-    ((4, 3, 2, 1), '(1 4)(2 3)', 2)
-    """
-    image = [0] * n
-    stack = []
-    avail, cycles, length, fixed = tuple(range(1, n + 1)), "", 0, 0
-    while True:
-        if avail:
-            a, rest = avail[0], avail[1:]
-            # Pushed last, popped first: fixing a, then the partners b in rising order.
-            for j in range(len(rest) - 1, -1, -1):
-                b = rest[j]
-                cyc = f"{cycles}({a} {b})"
-                stack.append((a, b, rest[:j] + rest[j + 1 :], cyc, length + 2 * fixed + j, fixed))
-            stack.append((a, a, rest, cycles, length, fixed + 1))
-        else:
-            yield tuple(image), cycles or "e", length
-            if not stack:
-                return
-        # Every open letter is set again below this node, so what a sibling
-        # wrote into image never reaches a leaf.
-        a, b, avail, cycles, length, fixed = stack.pop()
-        image[a - 1] = b
-        image[b - 1] = a
 
 
 @lru_cache(maxsize=None)
@@ -126,8 +86,12 @@ def involutive_length_oracle(w: Window) -> int:
 
 @lru_cache(maxsize=None)
 def involutive_order(n: int) -> dict[Window, int]:
-    """The grading of the involutive weak order on I_n: w -> involutive_length(w)."""
-    return {w: involutive_length(w) for w in model_basis(n).involutions}
+    """The grading of the involutive weak order on I_n, read off ``perm.involution_walk``.
+
+    Keyed by the basis's own window tuples, which the walk yields in the same order.
+    """
+    walk = perm.involution_walk(n)
+    return {w: length for w, (_, _, length) in zip(model_basis(n).involutions, walk)}
 
 
 def cover_edges(n: int) -> list[tuple[Window, int, Window]]:
@@ -334,7 +298,7 @@ def verify_hecke_model(n: int) -> Report:
             (
                 f"fails at w={w}"
                 for w in basis.involutions
-                if involutive_length(w) != involutive_length_oracle(w)
+                if lengths[w] != involutive_length_oracle(w)
             ),
             f"{basis.dim} involutions",
         )
@@ -414,23 +378,18 @@ def verify_hecke_model(n: int) -> Report:
 
 def poset_dot(n: int) -> str:
     """DOT rendering of the involutive weak order, clustered by cycle type."""
-    basis = model_basis(n)
-    lengths = involutive_order(n)
-    by_type: dict[int, list[int]] = {}
-    for idx, w in enumerate(basis.involutions):
-        by_type.setdefault(len(perm.involution_pairs(w)), []).append(idx)
+    by_type: dict[int, list[str]] = {}
+    for idx, (_, cycles, length) in enumerate(perm.involution_walk(n)):
+        by_type.setdefault(cycles.count("("), []).append(
+            f'    v{idx} [label="{cycles}\\nlen={length}"];'
+        )
     lines = ["digraph involutive_weak_order {", "  rankdir=BT;", "  node [shape=box];"]
     for k in sorted(by_type):
-        fixed = n - 2 * k
-        label = f"cycle type 2^{k} 1^{fixed}"
         lines.append(f"  subgraph cluster_{k} {{")
-        lines.append(f'    label="{label}";')
-        for idx in by_type[k]:
-            w = basis.involutions[idx]
-            lines.append(
-                f'    v{idx} [label="{perm.cycle_notation(w)}\\nlen={lengths[w]}"];'
-            )
+        lines.append(f'    label="cycle type 2^{k} 1^{n - 2 * k}";')
+        lines.extend(by_type[k])
         lines.append("  }")
+    basis = model_basis(n)
     edges = sorted((basis.index[w], i, basis.index[v]) for (w, i, v) in cover_edges(n))
     for src, i, dst in edges:
         lines.append(f'  v{src} -> v{dst} [label="s{i}"];')

@@ -41,7 +41,7 @@ class ModelBasis(NamedTuple):
 
 @lru_cache(maxsize=None)
 def model_basis(n: int) -> ModelBasis:
-    invs = perm.enumerate_involutions(n)
+    invs = tuple([w for w, _, _ in perm.involution_walk(n)])
     return ModelBasis(n=n, involutions=invs, index={w: i for i, w in enumerate(invs)})
 
 

@@ -230,7 +230,7 @@ def involution_fixedpoint_vs_oddcolumns(n: int) -> Report:
     """Involutions with f fixed points are counted by tableaux with f odd columns."""
     require("fixedpoint_report", n)
     inv_counts: dict[int, int] = {}
-    for w in perm.enumerate_involutions(n):
+    for w in model_basis(n).involutions:
         f = len(perm.fixed_points(w))
         inv_counts[f] = inv_counts.get(f, 0) + 1
     syt_counts: dict[int, int] = {}
@@ -291,7 +291,7 @@ def verify_rsk(n: int) -> Report:
     ]
 
     total_syt = sum(len(enumerate_syt(lam)) for lam in perm.partitions(n))
-    n_inv = len(perm.enumerate_involutions(n))
+    n_inv = model_basis(n).dim
     checks.append(
         Check(
             "tableau count equals involution count",

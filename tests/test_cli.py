@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gelfand import cli, model_hecke, perm
+from gelfand import cli, model_hecke, model_sn, perm
 from gelfand.cli import main
 from gelfand.qpoly import QPoly
 
@@ -324,7 +324,7 @@ def _materialised_listing(n, fmt):
             "descents": sorted(perm.descent_set(w)),
             "pairs": [list(p) for p in perm.involution_pairs(w)],
         }
-        for idx, w in enumerate(perm.enumerate_involutions(n))
+        for idx, w in enumerate(model_sn.model_basis(n).involutions)
     ]
     if fmt == "json":
         return json.dumps(records, indent=2, sort_keys=True) + "\n"

@@ -136,7 +136,7 @@ def test_character_is_class_function():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_fixed_point_factor_counts_involutions(n):
-    assert fs_count_formula({1: n}) == len(perm.enumerate_involutions(n))
+    assert fs_count_formula({1: n}) == model_basis(n).dim
 
 
 def test_even_cycle_with_odd_multiplicity_has_no_roots():
@@ -213,6 +213,11 @@ def test_orbit_size_examples():
     assert (len(walk), ends) == (3, (2, 1))
     walk, ends = orbit_walk(1, (4, 5, 3, 1, 2))  # (1 4)(2 5)
     assert (len(walk), ends) == (6, None)
+
+
+def test_model_basis_refuses_n_zero():
+    with pytest.raises(ValueError, match="n must be positive"):
+        model_basis(0)
 
 
 @pytest.mark.parametrize("i", [0, 3])

@@ -84,7 +84,7 @@ def test_cycle_notation():
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_involution_count_recurrence(n):
-    assert len(perm.enumerate_involutions(n)) == _telephone(n)
+    assert sum(1 for _ in perm.involution_walk(n)) == _telephone(n)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -94,9 +94,15 @@ def test_involutions_from_brute_force(n):
         for p in itertools.permutations(range(1, n + 1))
         if perm.compose(p, p) == perm.identity(n)
     )
-    listed = perm.enumerate_involutions(n)
+    listed = [w for w, _, _ in perm.involution_walk(n)]
     assert list(listed) == brute
     assert all(perm.is_involution(w) for w in listed)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_involution_walk_refuses_nonpositive_n(n):
+    with pytest.raises(ValueError, match="n must be positive"):
+        list(perm.involution_walk(n))
 
 
 def test_involution_pairs_partition_everything():
