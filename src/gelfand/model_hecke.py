@@ -3,14 +3,15 @@
 The generator T_i acts on C_w through four cases: -q C_w or C_w when s_i
 fixes w by conjugation (descent or not), and (1-q) C_w + q C_{s w s} or
 C_{s w s} when conjugation moves w up or down in the involutive weak order.
-That order is graded by the involutive length, computed here both by a
-closed formula and by a BFS oracle over the conjugation graph.
+That order is graded by the involutive length, read off
+``perm.involution_walk`` as a tuple in basis order, and so indexed as
+``model_sn.conjugates`` is; a closed formula and a BFS oracle check it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Literal, Mapping
+from typing import Iterator, Literal, Mapping, Sequence
 
 from . import perm
 from .errors import CapacityError, InternalConsistencyError, require, require_suite
@@ -85,48 +86,45 @@ def involutive_length_oracle(w: Window) -> int:
 
 
 @lru_cache(maxsize=None)
-def involutive_order(n: int) -> dict[Window, int]:
-    """The grading of the involutive weak order on I_n, read off ``perm.involution_walk``.
-
-    Keyed by the basis's own window tuples, which the walk yields in the same order.
-    """
-    walk = perm.involution_walk(n)
-    return {w: length for w, (_, _, length) in zip(model_basis(n).involutions, walk)}
+def involutive_order(n: int) -> tuple[int, ...]:
+    """The grading of the involutive weak order on I_n: each basis involution's
+    length, in basis order, read off ``perm.involution_walk``."""
+    return tuple([length for _, _, length in perm.involution_walk(n)])
 
 
-def cover_edges(n: int) -> list[tuple[Window, int, Window]]:
-    """The covers (w, i, s_i w s_i) of the involutive weak order, one length apart."""
+def cover_edges(n: int) -> Iterator[tuple[int, int, int]]:
+    """The covers (c, i, r) of the involutive weak order, as basis indices: r holds
+    s_i w s_i one length above the w at c.  Yielded c-outer, then i, so sorted."""
     lengths = involutive_order(n)
-    invs = model_basis(n).involutions
     tables = [conjugates(n, i) for i in range(1, n)]
-    edges = []
-    for c, w in enumerate(invs):
-        for i, t in enumerate(tables, 1):
-            v = invs[t[c]]
-            if lengths[v] == lengths[w] + 1:
-                edges.append((w, i, v))
-    return edges
+    return (
+        (c, i, t[c])
+        for c, length in enumerate(lengths)
+        for i, t in enumerate(tables, 1)
+        if lengths[t[c]] == length + 1
+    )
 
 
-def _case(w: Window, v: Window, i: int, lengths: Mapping[Window, int]) -> CaseTag:
-    """The action case of s_i on w, given the conjugate v = s_i w s_i and the grading."""
-    if v == w:
+def _case(c: int, r: int, i: int, invs: Sequence[Window], lengths: Sequence[int]) -> CaseTag:
+    """The action case of s_i on the basis involution at c, whose conjugate is at r."""
+    if r == c:
+        w = invs[c]
         return "fixed_descent" if w[i - 1] > w[i] else "fixed_nondescent"
-    delta = lengths[v] - lengths[w]
+    delta = lengths[r] - lengths[c]
     if delta == 1:
         return "up"
     if delta == -1:
         return "down"
     raise InternalConsistencyError(
-        f"conjugation by s_{i} changes the involutive length of {w} by {delta}"
+        f"conjugation by s_{i} changes the involutive length of {invs[c]} by {delta}"
     )
 
 
 def order_relation(w: Window, i: int) -> CaseTag:
     """Which of the four action cases applies to (s_i, w)."""
     basis = model_basis(len(w))
-    v = basis.involutions[conjugates(basis.n, i)[basis.index[w]]]
-    return _case(w, v, i, involutive_order(basis.n))
+    c = basis.index[w]
+    return _case(c, conjugates(basis.n, i)[c], i, basis.involutions, involutive_order(basis.n))
 
 
 def rho_q_generator(i: int, basis: ModelBasis) -> PolyMatrix:
@@ -136,7 +134,7 @@ def rho_q_generator(i: int, basis: ModelBasis) -> PolyMatrix:
     q = pack(Q)
     cols = []
     for c, r in enumerate(conjugates(basis.n, i)):
-        tag = _case(invs[c], invs[r], i, lengths)
+        tag = _case(c, r, i, invs, lengths)
         if tag == "fixed_descent":
             cols.append({c: -q})
         elif tag == "fixed_nondescent":
@@ -256,8 +254,9 @@ def _orbit_interval_witnesses(n: int) -> Iterator[str]:
     lengths, going round from the bottom, are lo, lo+1, lo+2, lo+3, lo+2, lo+1.
     """
     lengths = involutive_order(n)
+    index = model_basis(n).index
     for i, walk, ends in pair_orbits(n):
-        ring = [lengths[v] for v in walk]
+        ring = [lengths[index[v]] for v in walk]
         levels = sorted(ring)
         lo = levels[0]
         if len(walk) == 1:
@@ -297,8 +296,8 @@ def verify_hecke_model(n: int) -> Report:
             "involutive length formula matches the BFS oracle",
             (
                 f"fails at w={w}"
-                for w in basis.involutions
-                if lengths[w] != involutive_length_oracle(w)
+                for w, length in zip(basis.involutions, lengths)
+                if length != involutive_length_oracle(w)
             ),
             f"{basis.dim} involutions",
         )
@@ -309,9 +308,9 @@ def verify_hecke_model(n: int) -> Report:
     case_bad = None
     tags: dict[str, int] = {}
     try:
-        for c, w in enumerate(invs):
+        for c in range(basis.dim):
             for i, t in enumerate(tables, 1):
-                tag = _case(w, invs[t[c]], i, lengths)
+                tag = _case(c, t[c], i, invs, lengths)
                 tags[tag] = tags.get(tag, 0) + 1
     except InternalConsistencyError as exc:
         case_bad = str(exc)
@@ -323,14 +322,12 @@ def verify_hecke_model(n: int) -> Report:
         )
     )
 
+    # Conjugation by s_i is an involution: the cover targets are those with a downward cover.
+    covered = {r for _, _, r in cover_edges(n)}
     checks.append(
         first_failure(
             "every non-minimal involution has a downward cover",
-            (
-                f"fails at w={w}"
-                for c, w in enumerate(invs)
-                if lengths[w] > 0 and all(lengths[invs[t[c]]] != lengths[w] - 1 for t in tables)
-            ),
+            (f"fails at w={w}" for c, w in enumerate(invs) if lengths[c] > 0 and c not in covered),
         )
     )
     checks.append(
@@ -389,9 +386,7 @@ def poset_dot(n: int) -> str:
         lines.append(f'    label="cycle type 2^{k} 1^{n - 2 * k}";')
         lines.extend(by_type[k])
         lines.append("  }")
-    basis = model_basis(n)
-    edges = sorted((basis.index[w], i, basis.index[v]) for (w, i, v) in cover_edges(n))
-    for src, i, dst in edges:
+    for src, i, dst in cover_edges(n):
         lines.append(f'  v{src} -> v{dst} [label="s{i}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,10 +21,6 @@ from .report import Check, Report, first_failure
 SignedWindow = tuple[int, ...]
 
 
-def b_identity(n: int) -> SignedWindow:
-    return tuple(range(1, n + 1))
-
-
 def is_signed_window(w) -> bool:
     return all(isinstance(x, int) and x != 0 for x in w) and sorted(
         abs(x) for x in w
@@ -62,7 +58,7 @@ def signed_sort_key(w: SignedWindow) -> tuple[tuple[int, int], ...]:
 
 
 def b_is_involution(w: SignedWindow) -> bool:
-    return b_compose(w, w) == b_identity(len(w))
+    return b_compose(w, w) == perm.identity(len(w))
 
 
 @lru_cache(maxsize=None)
@@ -87,7 +83,7 @@ def b_model_basis(n: int) -> ModelBasis:
 def b_shortest_words(n: int) -> dict[SignedWindow, tuple[int, ...]]:
     """A shortest generator word per element (lexicographically least one)."""
     gens = [b_generator(n, i) for i in range(n)]
-    return perm.bfs(b_identity(n), lambda g: [b_compose(g, s) for s in gens])
+    return perm.bfs(perm.identity(n), lambda g: [b_compose(g, s) for s in gens])
 
 
 def rho_b_generator(i: int, basis: ModelBasis) -> SignedPermMatrix:
@@ -171,7 +167,7 @@ def verify_b_model(n: int) -> Report:
 
     reps = b_conjugacy_class_reps(n)
     elements = sorted(b_elements(n), key=signed_sort_key) if n <= 3 else reps
-    e = b_identity(n)
+    e = perm.identity(n)
     roots = perm.square_root_counts(b_elements(n), b_compose, [*elements, e])
     traces = ((g, rho_b_of_element(g, basis, gens).trace(), roots[g]) for g in elements)
     checks.append(

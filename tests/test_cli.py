@@ -155,10 +155,7 @@ def test_characters_hecke_lambda(capsys):
     assert by_mu[(1, 1, 1)]["classical_oracle"] == 2
 
 
-def test_characters_lambda_builds_no_model_basis(capsys):
-    from gelfand import model_sn
-
-    model_sn.model_basis.cache_clear()
+def test_characters_lambda_builds_no_model_basis(capsys, fresh_caches):
     code, _, _ = run(capsys, "characters", "--kind", "hecke", "--n", "4", "--lambda", "3,1")
     assert code == 0
     assert model_sn.model_basis.cache_info().misses == 0
@@ -189,10 +186,7 @@ def test_characters_mismatch_exit(capsys, monkeypatch, table, fmt):
     assert ('"match": false' if fmt == "json" else "MISMATCH") in out
 
 
-def test_characters_sn_refuses_the_square_root_cap_before_building_the_basis(capsys):
-    from gelfand import model_sn
-
-    model_sn.model_basis.cache_clear()
+def test_characters_sn_refuses_the_square_root_cap_before_building_the_basis(capsys, fresh_caches):
     code, out, err = run(capsys, "characters", "--kind", "sn", "--n", "10")
     message = "error: square root enumeration in S_n is capped at n=9 (got n=10)\n"
     assert (code, out, err) == (2, "", message)

@@ -106,15 +106,14 @@ def test_involution_walk_matches_the_slow_path(n):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_grading_is_keyed_by_the_basis_windows(n):
-    # Keyed by the basis's own tuples, the grading holds no second copy of the
-    # windows.  Other tests clear the basis cache, so the grading is rebuilt here.
-    involutive_order.cache_clear()
-    invs = model_basis(n).involutions
+    # A tuple in basis order: the basis index of each window is its key.
+    basis = model_basis(n)
     lengths = involutive_order(n)
-    assert list(lengths) == list(invs)
-    if n <= 6:
-        assert all(key is w for key, w in zip(lengths, invs))
-    assert all(lengths[w] == involutive_length(w) for w in invs)
+    assert type(lengths) is tuple and len(lengths) == basis.dim
+    assert all(type(length) is int for length in lengths)
+    assert [lengths[basis.index[w]] for w in basis.involutions] == [
+        involutive_length(w) for w in basis.involutions
+    ]
 
 
 def test_oracle_cap():
@@ -149,8 +148,10 @@ def test_moved_involutions_shift_length_by_one(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_cover_edges_connect_each_cycle_type(n):
+    invs = model_basis(n).involutions
     adj: dict = {}
-    for w, _, v in cover_edges(n):
+    for c, _, r in cover_edges(n):
+        w, v = invs[c], invs[r]
         adj.setdefault(w, set()).add(v)
         adj.setdefault(v, set()).add(w)
     by_type: dict = {}
@@ -403,6 +404,21 @@ def _conj(s, v):
     return perm.compose(s, perm.compose(v, s))
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cover_edges_match_the_window_covers(n):
+    # From windows alone: conjugate by perm.compose, grade by the closed formula.
+    basis = model_basis(n)
+    expected = []
+    for w in basis.involutions:
+        for i in range(1, n):
+            v = _conj(perm.generator(n, i), w)
+            if involutive_length(v) == involutive_length(w) + 1:
+                expected.append((basis.index[w], i, basis.index[v]))
+    edges = list(cover_edges(n))
+    assert edges == expected
+    assert edges == sorted(edges)  # poset_dot writes them in this order
+
+
 HEX_LOW = [
     ["1-q", "1", "0", "0", "0", "0"],
     ["q", "0", "0", "0", "0", "0"],
@@ -436,7 +452,7 @@ def test_hexagonal_orbit_blocks_match_known_matrices():
     lengths = involutive_order(n)
     walk, ends = orbit_walk(i, (4, 5, 3, 1, 2))  # (1 4)(2 5)
     assert len(walk) == 6 and ends is None
-    bottom = min(walk, key=lambda v: lengths[v])
+    bottom = min(walk, key=lambda v: lengths[basis.index[v]])
     s1 = perm.generator(n, i)
     s2 = perm.generator(n, i + 1)
     a = _conj(s1, bottom)
@@ -458,17 +474,19 @@ def _hexagon_swapped_grading(n):
     # Swap the lengths of the second and third involutions round the i=1
     # hexagon of (1 4)(2 5) from its bottom: the sorted levels stay those of
     # a hexagon, but the cycle no longer climbs lo, lo+1, lo+2, lo+3.
-    lengths = dict(involutive_order(n))
+    index = model_basis(n).index
+    lengths = list(involutive_order(n))
     walk, _ = orbit_walk(1, (4, 5, 3, 1, 2))
-    k = walk.index(min(walk, key=lengths.__getitem__))
-    a, ab = walk[(k + 1) % 6], walk[(k + 2) % 6]
+    ring = [index[v] for v in walk]
+    k = min(range(6), key=lambda j: lengths[ring[j]])
+    a, ab = ring[(k + 1) % 6], ring[(k + 2) % 6]
     lengths[a], lengths[ab] = lengths[ab], lengths[a]
-    return lengths, f"size-6 orbit lacks the hexagon structure: i=1, w={walk[k]}"
+    return tuple(lengths), f"size-6 orbit lacks the hexagon structure: i=1, w={walk[k]}"
 
 
 def _cycle_count_grading(n):
     # Constant on every orbit, so no size-3 orbit is a chain.
-    lengths = {w: len(perm.involution_pairs(w)) for w in model_basis(n).involutions}
+    lengths = tuple(len(perm.involution_pairs(w)) for w in model_basis(n).involutions)
     return lengths, "size-3 orbit not a chain: i=1, levels=[1, 1, 1]"
 
 

@@ -9,7 +9,6 @@ from gelfand.typeb import (
     b_conjugacy_class_reps,
     b_elements,
     b_generator,
-    b_identity,
     b_involutions,
     b_model_basis,
     b_shortest_words,
@@ -43,7 +42,7 @@ def test_compose_examples():
 def test_group_laws(n):
     import math
 
-    ident = b_identity(n)
+    ident = perm.identity(n)
     els = list(b_elements(n))
     assert len(els) == len(set(els)) == 2**n * math.factorial(n)
     for w in els:
@@ -66,26 +65,26 @@ def test_involution_enumeration():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_involutions_from_brute_force(n):
-    brute = {w for w in b_elements(n) if b_compose(w, w) == b_identity(n)}
+    brute = {w for w in b_elements(n) if b_compose(w, w) == perm.identity(n)}
     assert set(b_involutions(n)) == brute
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_canonical_order_starts_at_identity(n):
-    assert b_involutions(n)[0] == b_identity(n)
+    assert b_involutions(n)[0] == perm.identity(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_shortest_words_are_least_among_shortest(n):
     # Words by length, then lexicographically: the first word reaching an
     # element is its lexicographically least shortest word.
-    expected = {b_identity(n): ()}
+    expected = {perm.identity(n): ()}
     size = len(list(b_elements(n)))
     length = 0
     while len(expected) < size:
         length += 1
         for word in itertools.product(range(n), repeat=length):
-            g = b_identity(n)
+            g = perm.identity(n)
             for i in word:
                 g = b_compose(g, b_generator(n, i))
             expected.setdefault(g, word)
