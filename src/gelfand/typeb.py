@@ -4,7 +4,8 @@ Elements are signed windows: tuples of nonzero integers whose absolute
 values form a permutation of {1..n}.  The generator s_0 negates position 1;
 s_1..s_{n-1} are the adjacent transpositions.  The sign rule for s_0 uses
 the signed descent set (w(1) < 0), while the rule for s_i uses the descents
-of the underlying unsigned permutation.
+of the underlying unsigned permutation.  The involution basis is read off
+``model_sn.model_basis``: w(a) = s*b forces w(b) = s*a, one sign per orbit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from . import perm
+from . import model_sn, perm
 from .errors import require, require_suite
 from .model_sn import ModelBasis, SignedPermMatrix, relation_checks, signed_conjugation
 from .report import Check, Report, first_failure
@@ -22,9 +23,7 @@ SignedWindow = tuple[int, ...]
 
 
 def is_signed_window(w) -> bool:
-    return all(isinstance(x, int) and x != 0 for x in w) and sorted(
-        abs(x) for x in w
-    ) == list(range(1, len(w) + 1))
+    return all(isinstance(x, int) and x != 0 for x in w) and perm.is_window([abs(x) for x in w])
 
 
 def b_compose(u: SignedWindow, v: SignedWindow) -> SignedWindow:
@@ -35,15 +34,10 @@ def b_compose(u: SignedWindow, v: SignedWindow) -> SignedWindow:
 
 
 def b_generator(n: int, i: int) -> SignedWindow:
-    """s_0 negates position 1; s_i (i >= 1) swaps positions i and i+1."""
-    if not 0 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for n={n}")
-    w = list(range(1, n + 1))
-    if i == 0:
-        w[0] = -1
-    else:
-        w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
+    """s_0 negates position 1; s_i (i >= 1) is ``perm.generator(n, i)``."""
+    if i == 0 and n >= 1:
+        return (-1, *range(2, n + 1))
+    return perm.generator(n, i)
 
 
 def b_elements(n: int) -> Iterator[SignedWindow]:
@@ -57,20 +51,20 @@ def signed_sort_key(w: SignedWindow) -> tuple[tuple[int, int], ...]:
     return tuple((abs(x), 0 if x > 0 else 1) for x in w)
 
 
-def b_is_involution(w: SignedWindow) -> bool:
-    return b_compose(w, w) == perm.identity(len(w))
-
-
 @lru_cache(maxsize=None)
 def b_involutions(n: int) -> tuple[SignedWindow, ...]:
-    """All involutions of B_n in canonical order.
+    """The involutions of B_n in canonical order: those of S_n with a sign on each orbit.
 
     >>> b_involutions(1)
     ((1,), (-1,))
     """
-    return tuple(
-        sorted((w for w in b_elements(n) if b_is_involution(w)), key=signed_sort_key)
-    )
+    signed = []
+    for w in model_sn.model_basis(n).involutions:
+        firsts = [a for a, b in enumerate(w, 1) if a <= b]
+        for signs in itertools.product((1, -1), repeat=len(firsts)):
+            sign = dict(zip(firsts, signs))
+            signed.append(tuple([sign[min(a, b)] * b for a, b in enumerate(w, 1)]))
+    return tuple(sorted(signed, key=signed_sort_key))
 
 
 @lru_cache(maxsize=None)

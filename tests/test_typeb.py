@@ -53,8 +53,18 @@ def test_group_laws(n):
 def test_generator_windows():
     assert b_generator(3, 0) == (-1, 2, 3)
     assert b_generator(3, 2) == (1, 3, 2)
-    with pytest.raises(ValueError):
-        b_generator(3, 3)
+    for n in range(1, 6):
+        for i in range(1, n):
+            assert b_generator(n, i) == perm.generator(n, i)
+    for i in (-1, 3):
+        with pytest.raises(ValueError) as err:
+            b_generator(3, i)
+        assert str(err.value) == f"generator index {i} out of range for n=3"
+
+
+@pytest.mark.parametrize("w", [(1, -1), (0, 1), (3, 1)])
+def test_signed_window_rejections(w):
+    assert not is_signed_window(w)
 
 
 def test_involution_enumeration():
@@ -63,10 +73,22 @@ def test_involution_enumeration():
     assert len(b_involutions(3)) == 20
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 7))
 def test_involutions_from_brute_force(n):
-    brute = {w for w in b_elements(n) if b_compose(w, w) == perm.identity(n)}
-    assert set(b_involutions(n)) == brute
+    brute = [w for w in b_elements(n) if b_compose(w, w) == perm.identity(n)]
+    assert b_involutions(n) == tuple(sorted(brute, key=signed_sort_key))
+
+
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_involutions_read_the_sn_basis_without_sweeping_b_n(monkeypatch, fresh_caches, n):
+    def refuse(*args):
+        raise AssertionError("b_involutions swept B_n")
+
+    expected = b_involutions(n)
+    b_involutions.cache_clear()
+    monkeypatch.setattr(typeb, "b_elements", refuse)
+    monkeypatch.setattr(typeb, "b_compose", refuse)
+    assert b_involutions(n) == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
