@@ -63,29 +63,6 @@ def descent_set(p: Window) -> set[int]:
     return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
 
 
-def cycles(p: Window) -> list[tuple[int, ...]]:
-    """Disjoint cycles, each starting at its least element, ordered by that element."""
-    seen = [False] * len(p)
-    out = []
-    for i in range(1, len(p) + 1):
-        if seen[i - 1]:
-            continue
-        cyc = []
-        j = i
-        while not seen[j - 1]:
-            seen[j - 1] = True
-            cyc.append(j)
-            j = p[j - 1]
-        out.append(tuple(cyc))
-    return out
-
-
-def cycle_notation(p: Window) -> str:
-    """Cycle string omitting fixed points; "e" for the identity."""
-    parts = ["(" + " ".join(map(str, c)) + ")" for c in cycles(p) if len(c) > 1]
-    return "".join(parts) or "e"
-
-
 def multiplicities(ct: Partition) -> dict[int, int]:
     """Cycle-type multiplicity vector: part length -> number of occurrences."""
     out: dict[int, int] = {}

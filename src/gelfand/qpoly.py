@@ -173,10 +173,6 @@ class PolyMatrix(NamedTuple):
         values = unpack(v for col in self.cols for v in col.values())
         return [(r, c, coeffs) for (r, c), coeffs in zip(keys, values)]
 
-    def poly_entries(self) -> dict[tuple[int, int], QPoly]:
-        """Every nonzero entry as a QPoly, keyed (row, col): the output boundary."""
-        return {(r, c): QPoly(enumerate(coeffs)) for r, c, coeffs in self._cells()}
-
     def apply(self, vec: Mapping[int, int]) -> dict[int, int]:
         """This matrix times the column vector ``vec``, stored as the columns are."""
         cols = self.cols

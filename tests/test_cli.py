@@ -14,6 +14,7 @@ import pytest
 from gelfand import cli, model_hecke, model_sn, perm
 from gelfand.cli import main
 from gelfand.qpoly import QPoly
+from references import cycle_notation
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -313,7 +314,7 @@ def _materialised_listing(n, fmt):
         {
             "index": idx,
             "window": list(w),
-            "cycles": perm.cycle_notation(w),
+            "cycles": cycle_notation(w),
             "length": model_hecke.involutive_length(w),
             "descents": sorted(perm.descent_set(w)),
             "pairs": [list(p) for p in perm.involution_pairs(w)],
@@ -361,7 +362,7 @@ def test_listing_cycles_are_the_cycle_notation(capsys, n):
     assert code == 0
     for row in csv.DictReader(io.StringIO(out)):
         w = tuple(map(int, row["window"].split(",")))
-        assert row["cycles"] == perm.cycle_notation(w)
+        assert row["cycles"] == cycle_notation(w)
         assert row["descents"] == (" ".join(map(str, sorted(perm.descent_set(w)))) or "-")
 
 

