@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Iterable
 
-from . import model_hecke, model_sn, perm, rsk, typeb
+from . import model_hecke, model_sn, perm, qpoly, rsk, typeb
 from .errors import CAPS, SUITES, CapacityError, InternalConsistencyError, require, require_suite
 from .perm import Partition
 from .report import Report
@@ -24,14 +24,18 @@ class UsageError(Exception):
     pass
 
 
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"{flag} must be comma-separated integers, got {text!r}")
+
+
 def _parse_partition(text: str | None, n: int, flag: str) -> Partition | None:
     """The partition given as ``flag``, or None when the flag is absent."""
     if text is None:
         return None
-    try:
-        parts = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError(f"{flag} must be comma-separated integers, got {text!r}")
+    parts = _parse_ints(text, flag)
     if any(x < 1 for x in parts):
         raise UsageError(f"{flag} parts must be positive, got {text!r}")
     if sum(parts) != n:
@@ -46,10 +50,7 @@ def _parse_element(text: str | None, n: int, signed: bool) -> tuple[int, ...] | 
     """The window given as ``--element``, or None when the flag is absent."""
     if text is None:
         return None
-    try:
-        vals = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError(f"--element must be comma-separated integers, got {text!r}")
+    vals = _parse_ints(text, "--element")
     if len(vals) != n:
         raise UsageError(f"--element has {len(vals)} entries, expected n={n}")
     if signed:
@@ -212,7 +213,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         if not first <= args.generator <= args.n - 1:
             raise UsageError(f"--generator must be in {first}..{args.n - 1}")
     mat = _matrix_for_args(args)
-    (mat.write_json if args.fmt == "json" else mat.write_text)(sys.stdout)
+    qpoly.write_matrix(sys.stdout, args.fmt, mat.dim, mat.cells())
     return 0
 
 

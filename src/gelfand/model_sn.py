@@ -82,20 +82,10 @@ class SignedPermMatrix(NamedTuple):
     def entry_dict(self) -> dict[tuple[int, int], int]:
         return {(r, c): s for c, (r, s) in enumerate(zip(self.rows, self.signs))}
 
-    def write_json(self, out) -> None:
-        """Write this matrix as ``PolyMatrix.write_json`` writes it over Z[q]."""
+    def cells(self) -> Iterator[tuple[int, int, list[int]]]:
+        """(row, col, [sign]) for every entry, made one at a time in (row, col) order."""
         col_of_row = sorted(range(self.dim), key=self.rows.__getitem__)
-        out.write(f'{{"dim": {self.dim}, "entries": [')
-        out.writelines(
-            f"{', ' if r else ''}[{r}, {c}, [{self.signs[c]}]]" for r, c in enumerate(col_of_row)
-        )
-        out.write("]}\n")
-
-    def write_text(self, out) -> None:
-        """Write this matrix as ``PolyMatrix.write_text`` writes it over Z[q]."""
-        col_of_row = sorted(range(self.dim), key=self.rows.__getitem__)
-        out.write(f"dim {self.dim}\n")
-        out.writelines(f"({r},{c}) {self.signs[c]}\n" for r, c in enumerate(col_of_row))
+        return ((r, c, [self.signs[c]]) for r, c in enumerate(col_of_row))
 
 
 def inv_w(p: Window, w: Window) -> int:

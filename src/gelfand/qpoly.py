@@ -3,7 +3,7 @@
 The scalar ring is Z[q]; coefficients are Python ints.  A matrix column is a
 dict row -> nonzero entry, each entry one int packed by Kronecker substitution
 (see ``SHIFT``), so products, sums and comparisons are plain int arithmetic;
-entries are unpacked only for output, from ``entries`` to the two writers.
+entries are unpacked only for output, by ``PolyMatrix.cells`` for ``write_matrix``.
 """
 
 from __future__ import annotations
@@ -165,13 +165,13 @@ class PolyMatrix(NamedTuple):
     @property
     def entries(self) -> dict[tuple[int, int, int], int]:
         """Flat view (row, col, q-degree) -> nonzero coefficient; builds no QPoly."""
-        return {(r, c, d): a for r, c, coeffs in self._cells() for d, a in enumerate(coeffs) if a}
+        return {(r, c, d): a for r, c, coeffs in self.cells() for d, a in enumerate(coeffs) if a}
 
-    def _cells(self) -> list[tuple[int, int, list[int]]]:
-        """(row, col, coefficient list) for every nonzero entry, column by column."""
+    def cells(self) -> list[tuple[int, int, list[int]]]:
+        """(row, col, coefficient list) for every nonzero entry, in (row, col) order."""
         keys = [(r, c) for c, col in enumerate(self.cols) for r in col]
         values = unpack(v for col in self.cols for v in col.values())
-        return [(r, c, coeffs) for (r, c), coeffs in zip(keys, values)]
+        return sorted((r, c, coeffs) for (r, c), coeffs in zip(keys, values))
 
     def apply(self, vec: Mapping[int, int]) -> dict[int, int]:
         """This matrix times the column vector ``vec``, stored as the columns are."""
@@ -208,20 +208,25 @@ class PolyMatrix(NamedTuple):
 
     def specialize(self, x) -> dict[tuple[int, int], object]:
         """Evaluate every entry at x; zero results are dropped."""
-        cells = self._cells()
+        cells = self.cells()
         values = ((r, c, sum(a * x**d for d, a in enumerate(coeffs))) for r, c, coeffs in cells)
         return {(r, c): v for r, c, v in values if v != 0}
 
-    def write_json(self, out) -> None:
-        """Write ``json.dumps({"dim": d, "entries": [[row, col, [c0, ...]], ...]})`` and a newline
-        off the packed columns, building no QPoly and no whole string (int lists print as JSON)."""
-        out.write(f'{{"dim": {self.dim}, "entries": [')
-        cells = enumerate(sorted(self._cells()))
-        out.writelines(f"{', ' if k else ''}[{r}, {c}, {coeffs}]" for k, (r, c, coeffs) in cells)
-        out.write("]}\n")
 
-    def write_text(self, out) -> None:
-        """Write ``dim d`` and one ``(row,col) polynomial`` line per entry, in (row, col) order."""
-        out.write(f"dim {self.dim}\n")
-        cells = sorted(self._cells())
-        out.writelines(f"({r},{c}) {QPoly(enumerate(coeffs))}\n" for r, c, coeffs in cells)
+def write_matrix(out, fmt: str, dim: int, cells: Iterable[tuple[int, int, list[int]]]) -> None:
+    """Stream a matrix over Z[q], given by its nonzero (row, col, [c0, c1, ...]) cells in
+    (row, col) order: as ``json.dumps({"dim": d, "entries": [[row, col, [c0, ...]], ...]})`` and
+    a newline, or for ``fmt`` "text" as ``dim d`` and one ``(row,col) polynomial`` line per entry.
+    A one-term list prints from its int, which is also its ``QPoly`` string."""
+    if fmt == "json":
+        out.write(f'{{"dim": {dim}, "entries": [')
+        out.writelines(
+            f"{', ' if k else ''}[{r}, {c}, {f'[{a[0]}]' if len(a) == 1 else a}]"
+            for k, (r, c, a) in enumerate(cells)
+        )
+        out.write("]}\n")
+    else:
+        out.write(f"dim {dim}\n")
+        out.writelines(
+            f"({r},{c}) {a[0] if len(a) == 1 else QPoly(enumerate(a))}\n" for r, c, a in cells
+        )

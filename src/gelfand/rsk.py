@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator
 
-from . import model_hecke, perm
+from . import model_hecke, model_sn, perm
 from .errors import require, require_suite
 from .model_hecke import model_basis, mu_descent_number
 from .perm import Partition, Window
@@ -321,8 +321,9 @@ def verify_rsk(n: int) -> Report:
                 "irreducible characters sum to the model trace",
                 (
                     f"mu={mu}"
-                    for mu, trace, _ in model_hecke.type_traces(basis, gens)
-                    if sum((value for _, m, value, _ in rows if m == mu), ZERO) != trace
+                    for mu in lams
+                    if sum((value for _, m, value, _ in rows if m == mu), ZERO)
+                    != model_hecke.hecke_model_character(mu, basis, gens)
                 ),
                 f"{len(lams)} types checked",
             ),
@@ -342,8 +343,8 @@ def verify_rsk(n: int) -> Report:
                 "summed irreducible characters count square roots",
                 (
                     f"mu={mu}"
-                    for mu, rep in perm.conjugacy_class_reps(n)
-                    if sum(mn_character(lam, mu) for lam in lams) != perm.square_roots_count(rep)
+                    for mu, _, roots, _ in model_sn.class_traces(n)
+                    if sum(mn_character(lam, mu) for lam in lams) != roots
                 ),
             ),
         ]

@@ -1,6 +1,8 @@
-"""Slow reference views that only the tests read: cycle notation and QPoly matrix entries."""
+"""Slow reference views that only the tests read: cycle notation, QPoly matrix entries, and the
+signed inverse and closed signed-conjugation rule of the B_n model."""
 
 from gelfand.qpoly import PolyMatrix, QPoly, unpack
+from gelfand.typeb import b_compose
 
 
 def cycles(p):
@@ -33,3 +35,30 @@ def poly_entries(m: PolyMatrix) -> dict[tuple[int, int], QPoly]:
         for c, col in enumerate(m.cols)
         for r, coeffs in zip(col, unpack(col.values()))
     }
+
+
+def b_inverse(w):
+    """The window sends i to w[i-1], so its inverse sends |w[i-1]| to i with that sign."""
+    inv = [0] * len(w)
+    for i, x in enumerate(w, 1):
+        inv[abs(x) - 1] = i if x > 0 else -i
+    return tuple(inv)
+
+
+def b_signed_conjugation(g, basis):
+    """(rows, signs) of the B_n model at the element g, column by column, by the closed rule.
+
+    C_w goes to (-1)^k C_{g w g^-1}, where k counts the 2-cycles {a < b} of |w|
+    with |g(a)| > |g(b)| (the S_n sign on absolute values) and the negative
+    fixed points a of w (w(a) = -a) with g(a) < 0.  No generator word is used.
+    """
+    g_inv = b_inverse(g)
+    rows, signs = [], []
+    for w in basis.involutions:
+        k = 0
+        for a, x in enumerate(w, 1):
+            k += a < abs(x) and abs(g[a - 1]) > abs(g[abs(x) - 1])
+            k += x == -a and g[a - 1] < 0
+        rows.append(basis.index[b_compose(g, b_compose(w, g_inv))])
+        signs.append(-1 if k % 2 else 1)
+    return tuple(rows), tuple(signs)

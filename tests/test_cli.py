@@ -232,10 +232,7 @@ _TRACE_GENERATORS = {
         "model_hecke",
         "type_traces",
         ("--kind", "hecke"),
-        {
-            "hecke": ["trace equals the signed unimodal-involution sum for every type"],
-            "rsk": ["irreducible characters sum to the model trace"],
-        },
+        {"hecke": ["trace equals the signed unimodal-involution sum for every type"]},
     ),
     "lambda": (
         "rsk",
@@ -267,6 +264,25 @@ def test_one_wrong_trace_row_fails_verify_and_characters(capsys, monkeypatch, ta
     for scope, names in failing.items():
         assert [c.name for c in cli.run_suite(scope, 3).checks if not c.passed] == names
     code, out, _ = run(capsys, "characters", "--n", "3", *args)
+    assert code == 1
+    assert out.count("MISMATCH") == 1
+
+
+def test_one_wrong_hecke_trace_fails_both_suites_and_characters(capsys, monkeypatch):
+    # type_traces and the rsk sum check both read the trace off hecke_model_character.
+    original = model_hecke.hecke_model_character
+
+    def wrong_at_3(mu, *a):
+        return original(mu, *a) + (mu == (3,))
+
+    monkeypatch.setattr(model_hecke, "hecke_model_character", wrong_at_3)
+    for scope, name in [
+        ("hecke", "trace equals the signed unimodal-involution sum for every type"),
+        ("rsk", "irreducible characters sum to the model trace"),
+    ]:
+        failed = [c for c in cli.run_suite(scope, 3).checks if not c.passed]
+        assert [c.name for c in failed] == [name] and failed[0].detail.startswith("mu=(3,)")
+    code, out, _ = run(capsys, "characters", "--kind", "hecke", "--n", "3")
     assert code == 1
     assert out.count("MISMATCH") == 1
 

@@ -26,7 +26,7 @@ from gelfand.model_sn import (
     sign_cocycle_witness,
     verify_sn_model,
 )
-from gelfand.qpoly import QPoly
+from gelfand.qpoly import QPoly, write_matrix
 
 
 def test_inv_w_examples():
@@ -368,9 +368,10 @@ def _monomial_cases(kind, n):
 def test_monomial_writers_match_a_dict_reference(kind, n):
     for m in _monomial_cases(kind, n):
         entries = sorted(m.entry_dict().items())
+        assert list(m.cells()) == [(r, c, [s]) for (r, c), s in entries]
         as_json, as_text = io.StringIO(), io.StringIO()
-        m.write_json(as_json)
-        m.write_text(as_text)
+        write_matrix(as_json, "json", m.dim, m.cells())
+        write_matrix(as_text, "text", m.dim, m.cells())
         assert as_json.getvalue() == json.dumps(
             {"dim": m.dim, "entries": [[r, c, [s]] for (r, c), s in entries]}, sort_keys=True
         ) + "\n"

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gelfand.qpoly import ONE, Q, SHIFT, ZERO, PolyMatrix, QPoly, minus_q_power, pack, unpack
+from gelfand.qpoly import (
+    ONE, Q, SHIFT, ZERO, PolyMatrix, QPoly, minus_q_power, pack, unpack, write_matrix,
+)
 from references import poly_entries
 
 
@@ -22,9 +24,9 @@ def from_entries(dim, items):
     return PolyMatrix(dim, tuple({r: v for r, v in col.items() if v} for col in cols))
 
 
-def to_json(m):
+def written(m, fmt="json"):
     buf = io.StringIO()
-    m.write_json(buf)
+    write_matrix(buf, fmt, m.dim, m.cells())
     return buf.getvalue()
 
 
@@ -190,7 +192,7 @@ def test_matrix_operations_match_a_dense_reference(case):
         [r, c, [g.coeffs.get(d, 0) for d in range(g.degree() + 1)]]
         for (r, c), g in sorted(_nonzero(da).items())
     ]
-    assert to_json(a) == json.dumps({"dim": dim, "entries": expected}, sort_keys=True) + "\n"
+    assert written(a) == json.dumps({"dim": dim, "entries": expected}, sort_keys=True) + "\n"
 
 
 @given(matrix_cases)
@@ -226,8 +228,8 @@ def test_trace_of_product_commutes(a, b):
 
 def test_json_canonical():
     m = from_entries(2, {(1, 1): -Q, (0, 0): ONE})
-    assert to_json(m) == '{"dim": 2, "entries": [[0, 0, [1]], [1, 1, [0, -1]]]}\n'
-    assert to_json(m) == to_json(m)
+    assert written(m) == '{"dim": 2, "entries": [[0, 0, [1]], [1, 1, [0, -1]]]}\n'
+    assert written(m) == written(m)
 
 
 # Entries as (row, col, q-degree, coefficient) terms: repeated keys add up and
@@ -259,7 +261,18 @@ def test_json_writer_matches_json_dumps(case):
         top = max((d for d, a in coeffs.items() if a), default=-1)
         if top >= 0:
             entries.append([r, c, [coeffs.get(d, 0) for d in range(top + 1)]])
-    assert to_json(m) == json.dumps({"dim": dim, "entries": entries}, sort_keys=True) + "\n"
+    assert written(m) == json.dumps({"dim": dim, "entries": entries}, sort_keys=True) + "\n"
+
+
+@given(matrix_terms)
+def test_text_writer_prints_each_entry_as_its_qpoly(case):
+    # One-term coefficient lists print as their int, with no QPoly built.
+    dim, terms = case
+    m = from_entries(dim, [((r, c), QPoly({d: a})) for r, c, d, a in terms])
+    entries = sorted(poly_entries(m).items())
+    assert [(r, c) for r, c, _ in m.cells()] == [key for key, _ in entries]
+    lines = "".join(f"({r},{c}) {f}\n" for (r, c), f in entries)
+    assert written(m, "text") == f"dim {dim}\n" + lines
 
 
 def test_specialize_drops_zeros():

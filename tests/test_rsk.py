@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from gelfand import perm
+from gelfand import model_hecke, perm
 from gelfand.model_hecke import mu_descent_number
 from gelfand.model_sn import model_basis
 from gelfand.qpoly import QPoly, ZERO, minus_q_power
@@ -277,6 +277,24 @@ def test_fixedpoint_vs_oddcolumns_passes(n):
 def test_verify_rsk_passes(n):
     report = verify_rsk(n)
     assert report.passed, report.text()
+
+
+def test_verify_rsk_sweeps_s_n_once_and_builds_no_unimodal_sum(monkeypatch):
+    # The parent swept S_5 once per class and built all seven unimodal sums.
+    calls = {perm.square_root_counts: 0, model_hecke.mu_unimodal_character: 0}
+
+    def counted(module, fn):
+        def wrapper(*args):
+            calls[fn] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, fn.__name__, wrapper)
+
+    counted(perm, perm.square_root_counts)
+    counted(model_hecke, model_hecke.mu_unimodal_character)
+    report = verify_rsk(5)
+    assert report.passed and len(report.checks) == 7
+    assert list(calls.values()) == [1, 0]
 
 
 @pytest.mark.parametrize("n", range(1, 6))

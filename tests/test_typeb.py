@@ -20,14 +20,7 @@ from gelfand.typeb import (
     signed_sort_key,
     verify_b_model,
 )
-
-
-def _b_inverse(w):
-    """The window sends i to w[i-1], so its inverse sends |w[i-1]| to i with that sign."""
-    inv = [0] * len(w)
-    for i, x in enumerate(w, 1):
-        inv[abs(x) - 1] = i if x > 0 else -i
-    return tuple(inv)
+from references import b_inverse, b_signed_conjugation
 
 
 def test_compose_examples():
@@ -35,7 +28,7 @@ def test_compose_examples():
     w, w_inv = (-2, 1), (2, -1)
     assert b_compose(w, w_inv) == (1, 2)
     assert b_compose(w_inv, w) == (1, 2)
-    assert _b_inverse(w) == w_inv
+    assert b_inverse(w) == w_inv
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -47,7 +40,7 @@ def test_group_laws(n):
     assert len(els) == len(set(els)) == 2**n * math.factorial(n)
     for w in els:
         assert is_signed_window(w)
-        assert b_compose(w, _b_inverse(w)) == ident
+        assert b_compose(w, b_inverse(w)) == ident
 
 
 def test_generator_windows():
@@ -129,6 +122,16 @@ def test_generators_match_the_windowed_construction(n):
         )
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_element_action_is_signed_conjugation_with_a_closed_sign(n):
+    # The word products of rho_b_of_element equal a rule that needs no word.
+    basis = b_model_basis(n)
+    gens = {i: rho_b_generator(i, basis) for i in range(n)}
+    for g in b_elements(n):
+        m = rho_b_of_element(g, basis, gens)
+        assert (m.rows, m.signs) == b_signed_conjugation(g, basis), g
+
+
 def test_sign_flip_generator_action():
     basis = b_model_basis(1)
     m = rho_b_generator(0, basis)
@@ -200,7 +203,7 @@ def test_class_reps_match_conjugation_by_every_element(n):
     expected = []
     for g in sorted(elements, key=signed_sort_key):
         if g not in seen:
-            seen.update(b_compose(h, b_compose(g, _b_inverse(h))) for h in elements)
+            seen.update(b_compose(h, b_compose(g, b_inverse(h))) for h in elements)
             expected.append(g)
     assert b_conjugacy_class_reps(n) == tuple(expected)
 
