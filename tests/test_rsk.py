@@ -280,7 +280,8 @@ def test_verify_rsk_passes(n):
 
 
 def test_verify_rsk_sweeps_s_n_once_and_builds_no_unimodal_sum(monkeypatch):
-    # The parent swept S_5 once per class and built all seven unimodal sums.
+    # One sweep of S_5 serves all seven classes, and the unimodal sums, which no
+    # rsk check reads, are not built (a sweep per class and seven sums make 7 and 7).
     calls = {perm.square_root_counts: 0, model_hecke.mu_unimodal_character: 0}
 
     def counted(module, fn):
