@@ -10,6 +10,7 @@ That order is graded by the involutive length, read off
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Iterator, Literal, Mapping, Sequence
 
@@ -19,7 +20,7 @@ from .model_sn import (
     ModelBasis, conjugates, model_basis, pair_orbits, relation_checks, rho_generator_matrix
 )
 from .perm import Partition, Window
-from .qpoly import ONE, Q, SHIFT, PolyMatrix, QPoly, pack, unpack
+from .qpoly import ONE, Q, SHIFT, PolyMatrix, QPoly, minus_q_sum, pack, unpack
 from .qpoly import minus_q_power  # noqa: F401 (perfbench probes it)
 from .report import Check, Report, first_failure
 
@@ -173,18 +174,14 @@ def t_mu_word(mu: Partition) -> list[int]:
     >>> t_mu_word((2, 1))
     [1]
     """
-    n = sum(mu)
-    cuts = set()
-    acc = 0
-    for part in mu[:-1]:
-        acc += part
-        cuts.add(acc)
-    return [i for i in range(1, n) if i not in cuts]
+    cuts = set(itertools.accumulate(mu))
+    return [i for i in range(1, sum(mu)) if i not in cuts]
 
 
 def mu_descent_number(w: Window, mu: Partition) -> int:
-    """Descents of w that are not block boundaries of mu."""
-    return len(perm.descent_set(w).intersection(t_mu_word(mu)))
+    """Descents of w that are not block boundaries of mu: the one count of mu-block descents."""
+    cuts = set(itertools.accumulate(mu))
+    return len([i for i in range(1, len(w)) if i not in cuts and w[i - 1] > w[i]])
 
 
 def rho_q_trace(
@@ -223,14 +220,8 @@ def mu_unimodal_character(mu: Partition) -> QPoly:
     >>> mu_unimodal_character((3,))
     QPoly('1 - q + q^2')
     """
-    n = sum(mu)
-    word = set(t_mu_word(mu))
-    total: dict[int, int] = {}
-    for w in model_basis(n).involutions:
-        if perm.is_mu_unimodal(w, mu):
-            d = len(perm.descent_set(w) & word)
-            total[d] = total.get(d, 0) + (-1) ** d
-    return QPoly(total)
+    invs = model_basis(sum(mu)).involutions
+    return minus_q_sum(mu_descent_number(w, mu) for w in invs if perm.is_mu_unimodal(w, mu))
 
 
 def type_traces(

@@ -8,6 +8,7 @@ entries are unpacked only for output, by ``PolyMatrix.cells`` for ``write_matrix
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
@@ -125,6 +126,11 @@ Q = QPoly({1: 1})
 def minus_q_power(k: int) -> QPoly:
     """(-q)^k."""
     return QPoly({k: -1 if k % 2 else 1})
+
+
+def minus_q_sum(degrees: Iterable[int]) -> QPoly:
+    """The sum of (-q)^d over ``degrees``, repeats counted, built as one QPoly."""
+    return QPoly({d: -m if d % 2 else m for d, m in Counter(degrees).items()})
 
 
 # Kronecker substitution q = 2^SHIFT packs sum c_d q^d into the int sum c_d << SHIFT*d, a ring

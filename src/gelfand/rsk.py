@@ -18,7 +18,7 @@ from . import model_hecke, model_sn, perm
 from .errors import require, require_suite
 from .model_hecke import model_basis, mu_descent_number
 from .perm import Partition, Window
-from .qpoly import ZERO, QPoly
+from .qpoly import ZERO, QPoly, minus_q_sum
 from .report import Check, Report, first_failure
 
 Tableau = tuple[tuple[int, ...], ...]
@@ -174,12 +174,9 @@ def irreducible_hecke_character(
     p0 = insertion_tableau if insertion_tableau is not None else superstandard_tableau(lam)
     if shape(p0) != tuple(lam) or not is_standard(p0):
         raise ValueError(f"{p0} is not a standard tableau of shape {lam}")
-    total: dict[int, int] = {}
-    for w in _insertion_table(p0):
-        if perm.is_mu_unimodal(w, mu):
-            d = mu_descent_number(w, mu)
-            total[d] = total.get(d, 0) + (-1) ** d
-    return QPoly(total)
+    return minus_q_sum(
+        mu_descent_number(w, mu) for w in _insertion_table(p0) if perm.is_mu_unimodal(w, mu)
+    )
 
 
 def lambda_traces(
