@@ -1,6 +1,8 @@
-"""Slow reference views that only the tests read: cycle notation, QPoly matrix entries, and the
-signed inverse and closed signed-conjugation rule of the B_n model."""
+"""Slow reference views that only the tests read: cycle notation, QPoly matrix entries, and for
+the B_n model the signed inverse, the closed signed-conjugation rule, the signed cycle type, the
+square-root product formula and the written-down class representatives."""
 
+from gelfand.model_sn import _pair_partitions
 from gelfand.qpoly import PolyMatrix, QPoly, unpack
 from gelfand.typeb import b_compose
 
@@ -62,3 +64,40 @@ def b_signed_conjugation(g, basis):
         rows.append(basis.index[b_compose(g, b_compose(w, g_inv))])
         signs.append(-1 if k % 2 else 1)
     return tuple(rows), tuple(signs)
+
+
+def signed_cycle_type(g):
+    """(alpha, beta): the lengths of the positive and of the negative cycles of |g|, each sorted
+    descending.  A cycle is negative when following g with signs takes its first letter i to -i,
+    that is when an odd number of its letters carry a minus sign in g."""
+    alpha, beta = [], []
+    for cyc in cycles([abs(x) for x in g]):
+        (beta if sum(g[a - 1] < 0 for a in cyc) % 2 else alpha).append(len(cyc))
+    return tuple(sorted(alpha, reverse=True)), tuple(sorted(beta, reverse=True))
+
+
+def b_square_root_formula(g):
+    """Square roots of g in B_n by the product formula over its signed cycle type.
+
+    With a_r positive and b_r negative r-cycles, roots(g) = prod_r P(r, a_r) N(r, b_r), where
+    P(r, a) = sum_{k <= a/2} pairs(a, k) (2r)^k c_r^(a-2k), c_r = 2 for odd r and 0 for even r,
+    and N(r, b) = pairs(b, b/2) (2r)^(b/2) for even b and 0 for odd b.
+    """
+    alpha, beta = signed_cycle_type(g)
+    total = 1
+    for r in set(alpha) | set(beta):
+        a, b, c = alpha.count(r), beta.count(r), 2 if r % 2 else 0
+        pos = (_pair_partitions(a, k) * (2 * r) ** k * c ** (a - 2 * k) for k in range(a // 2 + 1))
+        total *= sum(pos)
+        total *= 0 if b % 2 else _pair_partitions(b, b // 2) * (2 * r) ** (b // 2)
+    return total
+
+
+def b_class_representative(alpha, beta):
+    """The parts of alpha, then of beta, laid on consecutive blocks [s, e] of letters: each block
+    maps s -> s+1 -> ... -> e, and e to s for a part of alpha, to -s for a part of beta."""
+    g, s = [], 1
+    for part, sign in [(p, 1) for p in alpha] + [(p, -1) for p in beta]:
+        g += [*range(s + 1, s + part), sign * s]
+        s += part
+    return tuple(g)

@@ -226,6 +226,14 @@ def test_mu_descent_number_examples():
     assert mu_descent_number((3, 2, 1), (2, 1)) == 1
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mu_descent_number_is_the_descent_set_on_the_subproduct_word(n):
+    for mu in perm.partitions(n):
+        word = set(t_mu_word(mu))
+        for w in itertools.permutations(range(1, n + 1)):
+            assert mu_descent_number(w, mu) == len(perm.descent_set(w) & word), (w, mu)
+
+
 def _gens(basis):
     return {i: rho_q_generator(i, basis) for i in range(1, basis.n)}
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gelfand.qpoly import (
-    ONE, Q, SHIFT, ZERO, PolyMatrix, QPoly, minus_q_power, pack, unpack, write_matrix,
+    ONE, Q, SHIFT, ZERO, PolyMatrix, QPoly, minus_q_power, minus_q_sum, pack, unpack, write_matrix,
 )
 from references import poly_entries
 
@@ -54,6 +54,16 @@ def test_evaluate():
     assert minus_q_power(2).evaluate(1) == 1
     assert QPoly({0: 1, 1: -1, 2: 1}).evaluate(1) == 1
     assert (ONE - Q).evaluate(Fraction(1, 2)) == Fraction(1, 2)
+
+
+@given(st.lists(st.integers(0, 6), max_size=30))
+def test_minus_q_sum_is_the_sum_of_the_powers(degrees):
+    assert minus_q_sum(degrees) == sum((minus_q_power(d) for d in degrees), ZERO)
+
+
+def test_minus_q_sum_examples():
+    assert minus_q_sum([]) == ZERO
+    assert minus_q_sum(iter([0, 1, 1, 2, 3, 3])) == QPoly({0: 1, 1: -2, 2: 1, 3: -2})
 
 
 def test_canonical_form_drops_zeros():

@@ -4,9 +4,9 @@ import math
 import pytest
 
 from gelfand import model_hecke, perm
-from gelfand.model_hecke import mu_descent_number
-from gelfand.model_sn import model_basis
-from gelfand.qpoly import QPoly, ZERO, minus_q_power
+from gelfand.model_hecke import mu_descent_number, rho_q_generator, rho_q_trace, t_mu_word
+from gelfand.model_sn import model_basis, rho_character, rho_matrix
+from gelfand.qpoly import QPoly, ZERO, minus_q_power, unpack
 from gelfand.rsk import (
     conjugate_partition,
     enumerate_syt,
@@ -305,3 +305,86 @@ def test_lambda_traces_for_one_type_are_its_filtered_rows(n):
         assert [row[0] for row in rows] == list(perm.partitions(n))
         for mu in perm.partitions(n):
             assert list(lambda_traces(lam, mu)) == [row for row in rows if row[0] == mu]
+
+
+# The refined decomposition: conjugation keeps the number k of 2-cycles, so the
+# span V_k of the basis involutions with k 2-cycles is invariant, and V_k carries
+# exactly the irreducibles whose shape has n - 2k odd columns (Inglis, Richardson
+# and Saxl for S_n; the source paper for H_n(q)).
+
+
+def _two_cycles(basis):
+    return [len(perm.involution_pairs(w)) for w in basis.involutions]
+
+
+def _sn_block_traces(n):
+    """(class, k) -> the signed diagonal of rho_matrix(rep) summed over the involutions with k
+    2-cycles."""
+    basis = model_basis(n)
+    ks = _two_cycles(basis)
+    cells = {}
+    for ct, rep in perm.conjugacy_class_reps(n):
+        m = rho_matrix(rep, basis)
+        traces = [0] * (n // 2 + 1)
+        for c, (r, s) in enumerate(zip(m.rows, m.signs)):
+            if r == c:
+                traces[ks[c]] += s
+        cells.update(((ct, k), t) for k, t in enumerate(traces))
+        assert sum(traces) == rho_character(rep, basis)
+    return cells
+
+
+def _hecke_block_traces(n):
+    """(mu, k) -> the column-action trace of T_{w_mu}, as ``rho_q_trace`` takes it, summed over
+    the basis vectors with k 2-cycles."""
+    basis = model_basis(n)
+    ks = _two_cycles(basis)
+    gens = {i: rho_q_generator(i, basis) for i in range(1, n)}
+    cells = {}
+    for mu in perm.partitions(n):
+        word = t_mu_word(mu)
+        totals = [0] * (n // 2 + 1)
+        for c in range(basis.dim):
+            vec = {c: 1}
+            for i in reversed(word):
+                vec = gens[i].apply(vec)
+            totals[ks[c]] += vec.get(c, 0)
+        traces = [QPoly(enumerate(coeffs)) for coeffs in unpack(totals)]
+        cells.update(((mu, k), t) for k, t in enumerate(traces))
+        assert sum(traces) == rho_q_trace(word, basis, gens)
+    return cells
+
+
+def _irreducible_cells(n, character, odd):
+    """(type, k) -> the sum of character(lam, type) over the lam with odd(lam) == n - 2k."""
+    lams = list(perm.partitions(n))
+    return {
+        (mu, k): sum(character(lam, mu) for lam in lams if odd(lam) == n - 2 * k)
+        for mu in lams
+        for k in range(n // 2 + 1)
+    }
+
+
+def _odd_rows(lam):
+    return sum(part % 2 for part in lam)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sn_trace_on_each_two_cycle_block_is_its_odd_column_characters(n):
+    assert _sn_block_traces(n) == _irreducible_cells(n, mn_character, odd_columns)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_hecke_trace_on_each_two_cycle_block_is_its_odd_column_characters(n):
+    cells = _irreducible_cells(n, irreducible_hecke_character, odd_columns)
+    assert _hecke_block_traces(n) == cells
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_odd_rows_in_place_of_odd_columns_break_the_block_identity(n):
+    traces = _sn_block_traces(n)
+    rows = _irreducible_cells(n, mn_character, _odd_rows)
+    assert any(traces[cell] != rows[cell] for cell in traces)
+    hecke = _hecke_block_traces(n)
+    rows = _irreducible_cells(n, irreducible_hecke_character, _odd_rows)
+    assert any(hecke[cell] != rows[cell] for cell in hecke)

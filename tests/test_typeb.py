@@ -20,7 +20,10 @@ from gelfand.typeb import (
     signed_sort_key,
     verify_b_model,
 )
-from references import b_inverse, b_signed_conjugation
+from references import (
+    b_class_representative, b_inverse, b_signed_conjugation, b_square_root_formula,
+    signed_cycle_type,
+)
 
 
 def test_compose_examples():
@@ -206,6 +209,39 @@ def test_class_reps_match_conjugation_by_every_element(n):
             seen.update(b_compose(h, b_compose(g, b_inverse(h))) for h in elements)
             expected.append(g)
     assert b_conjugacy_class_reps(n) == tuple(expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_square_root_product_formula_matches_one_sweep_of_b_n(n):
+    elements = list(b_elements(n))
+    roots = perm.square_root_counts(iter(elements), b_compose, elements)
+    assert {g: b_square_root_formula(g) for g in elements} == roots
+
+
+def test_signed_cycle_type_and_class_representative_examples():
+    assert signed_cycle_type((2, 1, 3)) == ((2, 1), ())
+    assert signed_cycle_type((-2, 1, -3)) == ((), (2, 1))
+    assert signed_cycle_type((-2, -1, 3)) == ((2, 1), ())
+    assert b_class_representative((2,), (1, 1)) == (2, 1, -3, -4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_written_down_class_reps_hit_every_orbit_once(n):
+    gens = [b_generator(n, i) for i in range(n)]
+    orbit_of, orbit_types = {}, []
+    for k, rep in enumerate(b_conjugacy_class_reps(n)):
+        orbit = perm.bfs(rep, lambda h: [b_compose(s, b_compose(h, s)) for s in gens])
+        types = {signed_cycle_type(h) for h in orbit}
+        assert len(types) == 1, rep
+        orbit_types.append(types.pop())
+        orbit_of.update(dict.fromkeys(orbit, k))
+    assert len(set(orbit_types)) == len(orbit_types)
+    parts = [list(perm.partitions(k)) for k in range(n + 1)]
+    pairs = [(a, b) for k in range(n + 1) for a in parts[k] for b in parts[n - k]]
+    built = [b_class_representative(alpha, beta) for alpha, beta in pairs]
+    assert [signed_cycle_type(g) for g in built] == pairs
+    assert sorted(orbit_of[g] for g in built) == list(range(len(orbit_types)))
+    assert len(built) == pairs_of_partitions_count(n)
 
 
 def test_pairs_of_partitions_count():
