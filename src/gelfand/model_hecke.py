@@ -11,6 +11,7 @@ That order is graded by the involutive length, read off
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator, Literal, Mapping, Sequence
 
@@ -297,12 +298,12 @@ def verify_hecke_model(n: int) -> Report:
     invs = basis.involutions
     tables = [conjugates(n, i) for i in range(1, n)]
     case_bad = None
-    tags: dict[str, int] = {}
     try:
-        for c in range(basis.dim):
-            for i, t in enumerate(tables, 1):
-                tag = _case(c, t[c], i, invs, lengths)
-                tags[tag] = tags.get(tag, 0) + 1
+        tags = Counter(
+            _case(c, t[c], i, invs, lengths)
+            for c in range(basis.dim)
+            for i, t in enumerate(tables, 1)
+        )
     except InternalConsistencyError as exc:
         case_bad = str(exc)
     checks.append(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import require
@@ -63,12 +64,9 @@ def descent_set(p: Window) -> set[int]:
     return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
 
 
-def multiplicities(ct: Partition) -> dict[int, int]:
+def multiplicities(ct: Partition) -> Counter[int]:
     """Cycle-type multiplicity vector: part length -> number of occurrences."""
-    out: dict[int, int] = {}
-    for part in ct:
-        out[part] = out.get(part, 0) + 1
-    return out
+    return Counter(ct)
 
 
 def is_involution(p: Window) -> bool:

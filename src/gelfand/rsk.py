@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections import Counter
 from functools import lru_cache
 from math import factorial
 from typing import Iterator
@@ -226,27 +227,17 @@ def mn_character(lam: Partition, mu: Partition) -> int:
 def involution_fixedpoint_vs_oddcolumns(n: int) -> Report:
     """Involutions with f fixed points are counted by tableaux with f odd columns."""
     require("fixedpoint_report", n)
-    inv_counts: dict[int, int] = {}
-    for w in model_basis(n).involutions:
-        f = len(perm.fixed_points(w))
-        inv_counts[f] = inv_counts.get(f, 0) + 1
-    syt_counts: dict[int, int] = {}
-    for lam in perm.partitions(n):
-        syt_counts[odd_columns(lam)] = syt_counts.get(odd_columns(lam), 0) + len(
-            enumerate_syt(lam)
+    inv = Counter(len(perm.fixed_points(w)) for w in model_basis(n).involutions)
+    syt = Counter(odd_columns(lam) for lam in perm.partitions(n) for _ in enumerate_syt(lam))
+    checks = tuple(
+        Check(
+            f"{f} fixed points vs {f} odd columns",
+            inv[f] == syt[f],
+            f"{inv[f]} involutions, {syt[f]} tableaux",
         )
-    checks = []
-    for f in sorted(set(inv_counts) | set(syt_counts)):
-        a = inv_counts.get(f, 0)
-        b = syt_counts.get(f, 0)
-        checks.append(
-            Check(
-                f"{f} fixed points vs {f} odd columns",
-                a == b,
-                f"{a} involutions, {b} tableaux",
-            )
-        )
-    return Report("fixedpoints-vs-oddcolumns", n, tuple(checks))
+        for f in sorted(inv.keys() | syt.keys())
+    )
+    return Report("fixedpoints-vs-oddcolumns", n, checks)
 
 
 def _insertion_witnesses(n: int) -> Iterator[str]:
@@ -286,14 +277,16 @@ def verify_rsk(n: int) -> Report:
             f"all {factorial(n)} permutations",
         )
     ]
+    # Built after the sweep, so they do not add to its peak memory.
+    basis = model_basis(n)
+    tableaux = {lam: enumerate_syt(lam) for lam in perm.partitions(n)}
 
-    total_syt = sum(len(enumerate_syt(lam)) for lam in perm.partitions(n))
-    n_inv = model_basis(n).dim
+    total_syt = sum(map(len, tableaux.values()))
     checks.append(
         Check(
             "tableau count equals involution count",
-            total_syt == n_inv,
-            f"{total_syt} tableaux, {n_inv} involutions",
+            total_syt == basis.dim,
+            f"{total_syt} tableaux, {basis.dim} involutions",
         )
     )
 
@@ -308,10 +301,8 @@ def verify_rsk(n: int) -> Report:
     )
 
     if n <= 5:
-        basis = model_basis(n)
         gens = {i: model_hecke.rho_q_generator(i, basis) for i in range(1, n)}
-        lams = list(perm.partitions(n))
-        tableaux = {lam: enumerate_syt(lam) for lam in lams}
+        lams = list(tableaux)
         rows = [(lam, *row) for lam in lams for row in lambda_traces(lam)]
         checks += [
             first_failure(
