@@ -1,10 +1,11 @@
 """Slow reference views that only the tests read: cycle notation, QPoly matrix entries, and for
 the B_n model the signed inverse, the closed signed-conjugation rule, the signed cycle type, the
-square-root product formula and the written-down class representatives."""
+square-root product formula, the written-down class representatives and a reduced word read
+off the left descents."""
 
 from gelfand.model_sn import _pair_partitions
 from gelfand.qpoly import PolyMatrix, QPoly, unpack
-from gelfand.typeb import b_compose
+from gelfand.typeb import b_compose, b_generator
 
 
 def cycles(p):
@@ -45,6 +46,23 @@ def b_inverse(w):
     for i, x in enumerate(w, 1):
         inv[abs(x) - 1] = i if x > 0 else -i
     return tuple(inv)
+
+
+def b_reduced_word(g):
+    """A shortest generator word of g in B_n, built from its smallest left descent first.
+
+    i is a left descent of g when s_i g is shorter: for i = 0 when g^-1(1) < 0, and for i >= 1
+    when g^-1(i) > g^-1(i+1).  Taking the smallest one off the left each time needs no search
+    of B_n and stops at the identity after as many steps as the length of g.
+    """
+    n, word = len(g), []
+    while True:
+        inv = b_inverse(g)
+        descents = [i for i in range(n) if (inv[0] < 0 if i == 0 else inv[i - 1] > inv[i])]
+        if not descents:
+            return tuple(word)
+        word.append(descents[0])
+        g = b_compose(b_generator(n, descents[0]), g)
 
 
 def b_signed_conjugation(g, basis):

@@ -220,6 +220,27 @@ def test_t_mu_word_examples():
     assert t_mu_word((2, 1)) == [1]
 
 
+def _parent_type(mu):
+    """Lower the last part of mu above 1 by one and append a part 1."""
+    k = max(j for j, part in enumerate(mu) if part > 1)
+    return (*mu[:k], mu[k] - 1, *mu[k + 1 :], 1)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_type_words_form_a_tree_under_the_parent_map(n):
+    # Every nonempty t_mu_word extends its parent type's word by one letter, so
+    # the words of all types of S_n form a prefix trie rooted at (1, ..., 1).
+    types = set(perm.partitions(n))
+    edges = 0
+    for mu in types:
+        word = t_mu_word(mu)
+        if word:
+            assert _parent_type(mu) in types, mu
+            assert word[:-1] == t_mu_word(_parent_type(mu)), mu
+            edges += 1
+    assert edges == len(types) - 1
+
+
 def test_mu_descent_number_examples():
     assert mu_descent_number(perm.identity(3), (2, 1)) == 0
     assert mu_descent_number((1, 3, 2), (2, 1)) == 0

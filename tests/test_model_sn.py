@@ -243,7 +243,7 @@ def _conj(s, v):
     return perm.compose(s, perm.compose(v, s))
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_conjugates_table_is_window_conjugation(n):
     basis = model_basis(n)
     for i in range(1, n):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from gelfand import model_hecke, perm
+from gelfand import model_hecke, perm, rsk
 from gelfand.model_hecke import mu_descent_number, rho_q_generator, rho_q_trace, t_mu_word
 from gelfand.model_sn import model_basis, rho_character, rho_matrix
 from gelfand.qpoly import QPoly, ZERO, minus_q_power, unpack
@@ -296,6 +296,61 @@ def test_verify_rsk_sweeps_s_n_once_and_builds_no_unimodal_sum(monkeypatch):
     report = verify_rsk(5)
     assert report.passed and len(report.checks) == 7
     assert list(calls.values()) == [1, 0]
+
+
+# Each branch of the insertion sweep can fail: one broken property on one
+# permutation of S_4 fails the first check with that branch's witness, the
+# first in lex order, and leaves the other six checks passing.
+
+
+def _insertion_check_after(monkeypatch, module, name, target, fake):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda x: fake(real(x)) if x == target else real(x))
+    report = verify_rsk(4)
+    assert [c.passed for c in report.checks] == [False] + [True] * 6
+    return report.checks[0].detail
+
+
+def test_malformed_insertion_output_is_reported(monkeypatch):
+    # Reversed rows leave the recording tableau's rows growing downward.
+    detail = _insertion_check_after(
+        monkeypatch, rsk, "rs_insert", (2, 1, 3, 4), lambda pq: (pq[0], pq[1][::-1])
+    )
+    assert detail == "malformed output at w=(2, 1, 3, 4)"
+
+
+def test_insertion_collision_is_reported(monkeypatch):
+    identity_pair = rs_insert(perm.identity(4))
+    detail = _insertion_check_after(
+        monkeypatch, rsk, "rs_insert", (1, 2, 4, 3), lambda _: identity_pair
+    )
+    assert detail == "collision between w=(1, 2, 3, 4) and w=(1, 2, 4, 3)"
+
+
+def test_broken_inverse_symmetry_is_reported(monkeypatch):
+    # (1, 4, 2, 3) is first inserted as the inverse of (1, 3, 4, 2); a swapped
+    # pair for it no longer transposes that permutation's pair.
+    detail = _insertion_check_after(
+        monkeypatch, rsk, "rs_insert", (1, 4, 2, 3), lambda pq: pq[::-1]
+    )
+    assert detail == "inverse symmetry fails at w=(1, 3, 4, 2)"
+
+
+def test_broken_involution_criterion_is_reported(monkeypatch):
+    detail = _insertion_check_after(
+        monkeypatch, perm, "is_involution", (2, 3, 1, 4), lambda _: True
+    )
+    assert detail == "involution criterion fails at w=(2, 3, 1, 4)"
+
+
+def test_broken_descent_compatibility_is_reported(monkeypatch):
+    # (1, 3, 2, 4) is the first permutation with recording tableau 124/3.
+    q = rs_insert((1, 3, 2, 4))[1]
+    assert q == ((1, 2, 4), (3,))
+    detail = _insertion_check_after(
+        monkeypatch, rsk, "tableau_descent_set", q, lambda d: d | {1}
+    )
+    assert detail == "descent compatibility fails at w=(1, 3, 2, 4)"
 
 
 @pytest.mark.parametrize("n", range(1, 6))

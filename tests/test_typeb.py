@@ -21,8 +21,8 @@ from gelfand.typeb import (
     verify_b_model,
 )
 from references import (
-    b_class_representative, b_inverse, b_signed_conjugation, b_square_root_formula,
-    signed_cycle_type,
+    b_class_representative, b_inverse, b_reduced_word, b_signed_conjugation,
+    b_square_root_formula, signed_cycle_type,
 )
 
 
@@ -107,6 +107,16 @@ def test_shortest_words_are_least_among_shortest(n):
                 g = b_compose(g, b_generator(n, i))
             expected.setdefault(g, word)
     assert b_shortest_words(n) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_smallest_left_descent_words_are_the_bfs_words(n):
+    # The BFS word of every element of B_n, read off its left descents with no
+    # search: an element action over this word multiplies the same generators.
+    words = b_shortest_words(n)
+    assert len(words) == len(list(b_elements(n)))
+    for g, word in words.items():
+        assert b_reduced_word(g) == word, g
 
 
 @pytest.mark.parametrize("n", range(1, 5))
