@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from typing import Iterable
@@ -109,18 +110,17 @@ def _cell(key: str, value) -> str:
     return str(value)
 
 
-def _emit_rows(fmt: str, header: list[str], rows: Iterable[list[str]]) -> None:
-    """Print a header and rows of cells as csv, row by row, or as a text table (reads all rows)."""
+def _emit_rows(fmt: str, header: list[str], rows: Iterable[list[str]], widths: list[int]) -> None:
+    """Print a header and rows of cells, row by row: as csv, or as a text table of ``widths``."""
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
         return
-    rows = list(rows)
-    widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(header)]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for r in rows:
-        print("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip())
+    sys.stdout.writelines(
+        "  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip() + "\n"
+        for r in itertools.chain([header], rows)
+    )
 
 
 def _emit_table(fmt: str, records: Iterable[dict]) -> None:
@@ -130,7 +130,9 @@ def _emit_table(fmt: str, records: Iterable[dict]) -> None:
         print(json.dumps(records, indent=2, sort_keys=True))
     else:
         header = list(records[0])
-        _emit_rows(fmt, header, ([_cell(k, r[k]) for k in header] for r in records))
+        rows = [[_cell(k, r[k]) for k in header] for r in records]
+        widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(header)]
+        _emit_rows(fmt, header, rows, widths)
 
 
 def _listing_row(index: int, w: tuple[int, ...], cycles: str, length: int) -> list[str]:
@@ -164,6 +166,33 @@ def _listing_json(index: int, w: tuple[int, ...], cycles: str, length: int) -> s
     )
 
 
+_LISTING_HEADER = ["index", "window", "cycles", "length", "descents", "pairs"]
+
+
+def _listing_widths(n: int) -> list[int]:
+    """The text listing's column widths, from n alone, each at least its header's.
+
+    Every window holds 1..n and n - 1 commas.  The widest cycles and pairs
+    cells have the most 2-cycles, on the largest letters, 3 characters of
+    brackets and separator each.  w0 has every descent.  The longest
+    involutions have k 2-cycles nested on the 2k largest letters, of length
+    k(2n - 3k - 1).  The index runs below the involution count, which is the
+    number of square roots of the identity.
+    """
+    digits = [len(str(a)) for a in range(1, n + 1)]
+    pairs = sum(digits[n % 2 :]) + 3 * (n // 2)
+    longest = max(k * (2 * n - 3 * k - 1) for k in range(n // 2 + 1))
+    cells = [
+        len(str(model_sn.square_root_factor(1, n) - 1)),
+        sum(digits) + n - 1,
+        pairs,
+        len(str(longest)),
+        sum(digits[:-1]) + n - 2,
+        pairs,
+    ]
+    return [max(len(h), w) for h, w in zip(_LISTING_HEADER, cells)]
+
+
 def cmd_involutions(args: argparse.Namespace) -> int:
     require("involutions", args.n)
     walk = perm.involution_walk(args.n)
@@ -172,12 +201,13 @@ def cmd_involutions(args: argparse.Namespace) -> int:
         sys.stdout.writelines(_listing_json(i, *row) for i, row in enumerate(walk))
         sys.stdout.write("\n]\n")
     else:
-        header = ["index", "window", "cycles", "length", "descents", "pairs"]
-        _emit_rows(args.fmt, header, (_listing_row(i, *row) for i, row in enumerate(walk)))
+        rows = (_listing_row(i, *row) for i, row in enumerate(walk))
+        _emit_rows(args.fmt, _LISTING_HEADER, rows, _listing_widths(args.n))
     return 0
 
 
-def _matrix_for_args(args: argparse.Namespace):
+def _matrix_cells(args: argparse.Namespace) -> tuple[int, Iterable[tuple[int, int, list[int]]]]:
+    """The dimension and the (row, col, coefficient list) cells of the requested matrix."""
     n = args.n
     given = [x for x in (args.generator, args.element, args.mu) if x is not None]
     if args.kind == "sn":
@@ -186,23 +216,27 @@ def _matrix_for_args(args: argparse.Namespace):
             raise UsageError("matrix --kind sn needs exactly one of --generator/--element")
         basis = model_sn.model_basis(n)
         p = perm.generator(n, args.generator) if args.generator is not None else args.element
-        return model_sn.rho_matrix(p, basis)
+        mat = model_sn.rho_matrix(p, basis)
+        return mat.dim, mat.cells()
     if args.kind == "hecke":
         require("matrix_hecke", n)
         if len(given) != 1 or args.element is not None:
             raise UsageError("matrix --kind hecke needs exactly one of --generator/--mu")
         basis = model_sn.model_basis(n)
         if args.generator is not None:
-            return model_hecke.rho_q_generator(args.generator, basis)
-        return model_hecke.rho_q_of_word(model_hecke.t_mu_word(args.mu), basis)
+            mat = model_hecke.rho_q_generator(args.generator, basis)
+            return mat.dim, mat.cells()
+        return basis.dim, model_hecke.rho_q_word_cells(model_hecke.t_mu_word(args.mu), basis)
     require("matrix_typeb", n)
     if len(given) != 1 or args.mu is not None:
         raise UsageError("matrix --kind typeb needs exactly one of --generator/--element")
     basis = typeb.b_model_basis(n)
     if args.generator is not None:
-        return typeb.rho_b_generator(args.generator, basis)
-    gens = {i: typeb.rho_b_generator(i, basis) for i in range(n)}
-    return typeb.rho_b_of_element(args.element, basis, gens)
+        mat = typeb.rho_b_generator(args.generator, basis)
+    else:
+        gens = {i: typeb.rho_b_generator(i, basis) for i in range(n)}
+        mat = typeb.rho_b_of_element(args.element, basis, gens)
+    return mat.dim, mat.cells()
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
@@ -212,8 +246,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
             raise UsageError("S_1 has no generators; --generator needs n >= 2")
         if not first <= args.generator <= args.n - 1:
             raise UsageError(f"--generator must be in {first}..{args.n - 1}")
-    mat = _matrix_for_args(args)
-    qpoly.write_matrix(sys.stdout, args.fmt, mat.dim, mat.cells())
+    dim, cells = _matrix_cells(args)
+    qpoly.write_matrix(sys.stdout, args.fmt, dim, cells)
     return 0
 
 
@@ -296,7 +330,7 @@ def cmd_characters(args: argparse.Namespace) -> int:
 
 def cmd_poset(args: argparse.Namespace) -> int:
     require("poset", args.n)
-    sys.stdout.write(model_hecke.poset_dot(args.n))
+    sys.stdout.writelines(model_hecke.poset_dot(args.n))
     return 0
 
 

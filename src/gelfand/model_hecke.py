@@ -3,7 +3,9 @@
 The generator T_i acts on C_w through four cases: -q C_w or C_w when s_i
 fixes w by conjugation (descent or not), and (1-q) C_w + q C_{s w s} or
 C_{s w s} when conjugation moves w up or down in the involutive weak order.
-That order is graded by the involutive length, read off
+The case of each (s_i, w) is read once per generator; the columns of T_i and
+its rows are both built from that reading and the ``conjugates`` table.
+The weak order is graded by the involutive length, read off
 ``perm.involution_walk`` as a tuple in basis order, and so indexed as
 ``model_sn.conjugates`` is; a closed formula and a BFS oracle check it.
 """
@@ -129,14 +131,22 @@ def order_relation(w: Window, i: int) -> CaseTag:
     return _case(c, conjugates(basis.n, i)[c], i, basis.involutions, involutive_order(basis.n))
 
 
-def rho_q_generator(i: int, basis: ModelBasis) -> PolyMatrix:
-    """Matrix of T_i: at most two nonzero entries per column, of coefficient 1-norm <= 3."""
+def _case_tags(i: int, basis: ModelBasis) -> tuple[CaseTag, ...]:
+    """The action case of s_i on every basis involution, in basis order.
+
+    The one reading of the four cases per generator: ``rho_q_generator``
+    builds T_i's columns from it and ``row_times_generator`` T_i's rows.
+    """
     lengths = involutive_order(basis.n)
     invs = basis.involutions
+    return tuple([_case(c, r, i, invs, lengths) for c, r in enumerate(conjugates(basis.n, i))])
+
+
+def rho_q_generator(i: int, basis: ModelBasis) -> PolyMatrix:
+    """Matrix of T_i: at most two nonzero entries per column, of coefficient 1-norm <= 3."""
     q = pack(Q)
     cols = []
-    for c, r in enumerate(conjugates(basis.n, i)):
-        tag = _case(c, r, i, invs, lengths)
+    for c, (r, tag) in enumerate(zip(conjugates(basis.n, i), _case_tags(i, basis))):
         if tag == "fixed_descent":
             cols.append({c: -q})
         elif tag == "fixed_nondescent":
@@ -148,25 +158,63 @@ def rho_q_generator(i: int, basis: ModelBasis) -> PolyMatrix:
     return PolyMatrix(basis.dim, tuple(cols))
 
 
+def row_times_generator(
+    vec: Mapping[int, int], table: Sequence[int], tags: Sequence[CaseTag]
+) -> dict[int, int]:
+    """The row vector ``vec`` times T_i, given T_i's ``conjugates`` table and ``_case_tags``.
+
+    Vectors are stored as index -> packed entry, as matrix columns are.  Row k
+    of T_i is {k: -q} at a fixed descent, {k: 1} at a fixed non-descent,
+    {k: 1 - q, r: 1} when k moves up to r = table[k] and {r: q} when it moves
+    down to r: the columns of ``rho_q_generator`` read across.
+    """
+    acc: dict[int, int] = {}
+    for k, b in vec.items():
+        tag = tags[k]
+        if tag == "fixed_descent":
+            acc[k] = acc.get(k, 0) - (b << SHIFT)
+        elif tag == "fixed_nondescent":
+            acc[k] = acc.get(k, 0) + b
+        elif tag == "up":
+            r = table[k]
+            acc[k] = acc.get(k, 0) + b - (b << SHIFT)
+            acc[r] = acc.get(r, 0) + b
+        else:
+            r = table[k]
+            acc[r] = acc.get(r, 0) + (b << SHIFT)
+    return {c: v for c, v in acc.items() if v} if 0 in acc.values() else acc
+
+
 def _require_exact(dim: int, word: list[int] | tuple[int, ...]) -> None:
     """Refuse a word whose trace bound dim * 3^len(word) leaves the packed digits (see SHIFT)."""
     if dim * 3 ** len(word) >= 1 << (SHIFT - 1):
         raise CapacityError(f"a word of {len(word)} letters at dim {dim} is past the packed bound")
 
 
-def rho_q_of_word(word: list[int] | tuple[int, ...], basis: ModelBasis) -> PolyMatrix:
-    """Ordered product of generator matrices; the empty word is the identity.
+def rho_q_word_cells(
+    word: list[int] | tuple[int, ...], basis: ModelBasis
+) -> Iterator[tuple[int, int, list[int]]]:
+    """The nonzero cells (row, col, coefficient list) of the product T_{i1} ... T_{iL}.
 
-    Every letter builds its generator afresh and every step is a full sparse
-    product, so this is the reference path: ``matrix --kind hecke --mu``
-    prints its result, and the tests check ``hecke_model_character`` against
-    its trace.  ``rho_q_trace`` gives the trace alone by column action.
+    Row r is e_r^T T_{i1} ... T_{iL}, one ``row_times_generator`` step per
+    letter; its cells come in column order, unpacked, before the next row is
+    made, so no generator or product matrix is held.  The packed bound and
+    every letter's case tags are checked here, before the first cell, so a
+    refusal or a broken grading is raised before any output.
     """
     _require_exact(basis.dim, word)
-    out = PolyMatrix.identity(basis.dim)
-    for i in word:
-        out = out @ rho_q_generator(i, basis)
-    return out
+    steps = {i: (conjugates(basis.n, i), _case_tags(i, basis)) for i in set(word)}
+    letters = [steps[i] for i in word]
+
+    def cells() -> Iterator[tuple[int, int, list[int]]]:
+        for r in range(basis.dim):
+            vec = {r: 1}
+            for table, tags in letters:
+                vec = row_times_generator(vec, table, tags)
+            cols = sorted(vec)
+            yield from zip(itertools.repeat(r), cols, unpack([vec[c] for c in cols]))
+
+    return cells()
 
 
 def t_mu_word(mu: Partition) -> list[int]:
@@ -365,20 +413,25 @@ def verify_hecke_model(n: int) -> Report:
     return Report("hecke", n, tuple(checks))
 
 
-def poset_dot(n: int) -> str:
-    """DOT rendering of the involutive weak order, clustered by cycle type."""
+def poset_dot(n: int) -> Iterator[str]:
+    """DOT rendering of the involutive weak order, clustered by cycle type, one line at a time.
+
+    The node lines are grouped by cycle type before the first line; each edge
+    line is made from its ``cover_edges`` triple as the covers are found.
+    """
     by_type: dict[int, list[str]] = {}
     for idx, (_, cycles, length) in enumerate(perm.involution_walk(n)):
         by_type.setdefault(cycles.count("("), []).append(
-            f'    v{idx} [label="{cycles}\\nlen={length}"];'
+            f'    v{idx} [label="{cycles}\\nlen={length}"];\n'
         )
-    lines = ["digraph involutive_weak_order {", "  rankdir=BT;", "  node [shape=box];"]
+    yield "digraph involutive_weak_order {\n"
+    yield "  rankdir=BT;\n"
+    yield "  node [shape=box];\n"
     for k in sorted(by_type):
-        lines.append(f"  subgraph cluster_{k} {{")
-        lines.append(f'    label="cycle type 2^{k} 1^{n - 2 * k}";')
-        lines.extend(by_type[k])
-        lines.append("  }")
+        yield f"  subgraph cluster_{k} {{\n"
+        yield f'    label="cycle type 2^{k} 1^{n - 2 * k}";\n'
+        yield from by_type[k]
+        yield "  }\n"
     for src, i, dst in cover_edges(n):
-        lines.append(f'  v{src} -> v{dst} [label="s{i}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  v{src} -> v{dst} [label="s{i}"];\n'
+    yield "}\n"

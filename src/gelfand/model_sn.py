@@ -50,12 +50,25 @@ def conjugates(n: int, i: int) -> tuple[int, ...]:
     """The basis index of s_i w s_i for each w of ``model_basis(n)``, conjugated as windows.
 
     Every reader of conjugation by s_i on the basis reads this table: the
-    generator matrices, the orbit walks, the Hecke cases and covers, and the
-    length BFS.  An i outside 1..n-1 raises ValueError.
+    generator matrices and row kernel, the orbit walks, the Hecke cases and
+    covers, and the length BFS.  w s_i swaps the positions i and i+1 of w;
+    s_i then swaps the values i and i+1, which w s_i holds at the positions
+    s_i(w(i)) and s_i(w(i+1)), as w is an involution.  An i outside 1..n-1
+    raises ValueError.
     """
+    if not 1 <= i < n:
+        raise ValueError(f"generator index {i} out of range for n={n}")
     basis = model_basis(n)
-    s = perm.generator(n, i)
-    return tuple([basis.index[perm.compose(s, perm.compose(w, s))] for w in basis.involutions])
+    index = basis.index
+    swap = {i: i + 1, i + 1: i}
+    out = []
+    for w in basis.involutions:
+        v = list(w)
+        a, b = v[i - 1], v[i]
+        v[i - 1], v[i] = b, a
+        v[swap.get(a, a) - 1], v[swap.get(b, b) - 1] = i + 1, i
+        out.append(index[tuple(v)])
+    return tuple(out)
 
 
 class SignedPermMatrix(NamedTuple):

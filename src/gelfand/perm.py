@@ -185,17 +185,15 @@ def is_mu_unimodal(p: Window, mu: Partition) -> bool:
     """
     if sum(mu) != len(p):
         raise ValueError("mu must be a partition of len(p)")
-    pos = 0
+    end = 0
     for part in mu:
-        block = p[pos : pos + part]
-        k = 1
-        while k < part and block[k] > block[k - 1]:
+        k, end = end + 1, end + part
+        while k < end and p[k] > p[k - 1]:
             k += 1
-        while k < part and block[k] < block[k - 1]:
+        while k < end and p[k] < p[k - 1]:
             k += 1
-        if k < part:
+        if k < end:
             return False
-        pos += part
     return True
 
 

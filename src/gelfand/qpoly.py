@@ -3,7 +3,7 @@
 The scalar ring is Z[q]; coefficients are Python ints.  A matrix column is a
 dict row -> nonzero entry, each entry one int packed by Kronecker substitution
 (see ``SHIFT``), so products, sums and comparisons are plain int arithmetic;
-entries are unpacked only for output, by ``PolyMatrix.cells`` for ``write_matrix``.
+entries are unpacked only for output, into the coefficient lists that ``write_matrix`` prints.
 """
 
 from __future__ import annotations
@@ -89,25 +89,31 @@ class QPoly:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for d, c in self._terms:
-            mag = abs(c)
-            if d == 0:
-                body = str(mag)
-            elif d == 1:
-                body = "q" if mag == 1 else f"{mag} q"
-            else:
-                body = f"q^{d}" if mag == 1 else f"{mag} q^{d}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _poly_text(self._terms)
 
     def __repr__(self) -> str:
         return f"QPoly('{self}')"
+
+
+def _poly_text(terms: Iterable[tuple[int, int]]) -> str:
+    """The text of sum c q^d over (degree d, coefficient c) terms in rising degree, such as
+    ``1 - 2 q + q^3``; zero coefficients are skipped, and no term at all reads ``0``."""
+    parts = []
+    for d, c in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        if d == 0:
+            body = str(mag)
+        elif d == 1:
+            body = "q" if mag == 1 else f"{mag} q"
+        else:
+            body = f"q^{d}" if mag == 1 else f"{mag} q^{d}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
 
 
 def _coerce(x) -> "QPoly":
@@ -223,7 +229,8 @@ def write_matrix(out, fmt: str, dim: int, cells: Iterable[tuple[int, int, list[i
     """Stream a matrix over Z[q], given by its nonzero (row, col, [c0, c1, ...]) cells in
     (row, col) order: as ``json.dumps({"dim": d, "entries": [[row, col, [c0, ...]], ...]})`` and
     a newline, or for ``fmt`` "text" as ``dim d`` and one ``(row,col) polynomial`` line per entry.
-    A one-term list prints from its int, which is also its ``QPoly`` string."""
+    A one-term list prints from its int, which is also its ``QPoly`` string; a longer one prints
+    through the formatter of ``QPoly.__str__``, with no ``QPoly`` built."""
     if fmt == "json":
         out.write(f'{{"dim": {dim}, "entries": [')
         out.writelines(
@@ -234,5 +241,5 @@ def write_matrix(out, fmt: str, dim: int, cells: Iterable[tuple[int, int, list[i
     else:
         out.write(f"dim {dim}\n")
         out.writelines(
-            f"({r},{c}) {a[0] if len(a) == 1 else QPoly(enumerate(a))}\n" for r, c, a in cells
+            f"({r},{c}) {a[0] if len(a) == 1 else _poly_text(enumerate(a))}\n" for r, c, a in cells
         )

@@ -1,8 +1,9 @@
-"""Slow reference views that only the tests read: cycle notation, QPoly matrix entries, and for
-the B_n model the signed inverse, the closed signed-conjugation rule, the signed cycle type, the
-square-root product formula, the written-down class representatives and a reduced word read
-off the left descents."""
+"""Slow reference views that only the tests read: cycle notation, QPoly matrix entries, the Hecke
+word product by full matrix products, and for the B_n model the signed inverse, the closed
+signed-conjugation rule, the signed cycle type, the square-root product formula, the
+written-down class representatives and a reduced word read off the left descents."""
 
+from gelfand import model_hecke
 from gelfand.model_sn import _pair_partitions
 from gelfand.qpoly import PolyMatrix, QPoly, unpack
 from gelfand.typeb import b_compose, b_generator
@@ -38,6 +39,20 @@ def poly_entries(m: PolyMatrix) -> dict[tuple[int, int], QPoly]:
         for c, col in enumerate(m.cols)
         for r, coeffs in zip(col, unpack(col.values()))
     }
+
+
+def rho_q_of_word(word, basis):
+    """Ordered product of the generator matrices of ``word``; the empty word is the identity.
+
+    Every letter builds its generator afresh and every step is a full sparse product: the slow
+    path that ``model_hecke.rho_q_word_cells`` and ``rho_q_trace`` are checked against.  It
+    refuses a word past the packed bound as they do.
+    """
+    model_hecke._require_exact(basis.dim, word)
+    out = PolyMatrix.identity(basis.dim)
+    for i in word:
+        out = out @ model_hecke.rho_q_generator(i, basis)
+    return out
 
 
 def b_inverse(w):

@@ -13,8 +13,8 @@ import pytest
 
 from gelfand import cli, model_hecke, model_sn, perm
 from gelfand.cli import main
-from gelfand.qpoly import QPoly
-from references import cycle_notation
+from gelfand.qpoly import QPoly, write_matrix
+from references import cycle_notation, rho_q_of_word
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -359,7 +359,7 @@ def _materialised_listing(n, fmt):
 
 
 @pytest.mark.parametrize(
-    "n, fmt", [(n, fmt) for n in range(1, 10) for fmt in ("text", "csv", "json")]
+    "n, fmt", [(n, fmt) for n in range(1, 11) for fmt in ("text", "csv", "json")]
 )
 def test_streamed_listing_matches_the_materialised_one(capsys, n, fmt):
     code, out, _ = run(capsys, "involutions", "--n", str(n), "--format", fmt)
@@ -382,36 +382,88 @@ def test_listing_cycles_are_the_cycle_notation(capsys, n):
         assert row["descents"] == (" ".join(map(str, sorted(perm.descent_set(w)))) or "-")
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_streamed_listing_memory_stays_flat(monkeypatch, fmt):
-    # Building every record before writing peaked at 14 MB (csv) and 42 MB
-    # (json) on this call, and streaming records over the sorted involutions
-    # at 2.0 and 1.4 MB; the walk holds only its stack and one row.
+def _traced_peak(monkeypatch, argv):
+    """Exit code and tracemalloc peak of one CLI call, its stdout sent to the null device."""
     with open(os.devnull, "w") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
         try:
-            code = main(["involutions", "--n", "10", "--format", fmt])
-            peak = tracemalloc.get_traced_memory()[1]
+            code = main(argv)
+            return code, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_streamed_listing_memory_stays_flat(monkeypatch, fmt):
+    # Building every record before writing peaked at 14 MB (csv) and 42 MB
+    # (json) on this call, and streaming records over the sorted involutions
+    # at 2.0 and 1.4 MB; the walk holds only its stack and one row.  Text
+    # sized its columns from every row, held at once: 4.7 MB.
+    code, peak = _traced_peak(monkeypatch, ["involutions", "--n", "10", "--format", fmt])
     assert code == 0
     assert peak < 1_000_000
 
 
 def test_matrix_json_is_written_without_the_whole_string(monkeypatch):
     # Building every entry as a QPoly and then the whole string peaked at
-    # 12.2 MB on this call; the row-by-row writer peaks at 8.2 MB.
-    with open(os.devnull, "w") as sink:
-        monkeypatch.setattr(sys, "stdout", sink)
-        tracemalloc.start()
-        try:
-            code = main(["matrix", "--kind", "hecke", "--n", "9", "--mu", "3,3,2,1"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    # 12.2 MB on this call, and writing the cells of the product matrix row by
+    # row at 4.8-5.7 MB; rows of the product made one at a time peak at
+    # 0.5-0.9 MB, warm caches or cold.
+    argv = ["matrix", "--kind", "hecke", "--n", "9", "--mu", "3,3,2,1"]
+    code, peak = _traced_peak(monkeypatch, argv)
     assert code == 0
-    assert peak < 10_000_000
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["matrix", "--kind", "hecke", "--n", "9", "--mu", "3,3,2,1", "--format=text"], 2_000_000),
+        (["poset", "--n", "9"], 1_500_000),
+    ],
+    ids=["matrix-text", "poset"],
+)
+def test_streamed_exports_hold_no_whole_product_or_text(monkeypatch, argv, bound):
+    # The text matrix held every generator and partial product before the
+    # first byte, 4.8-5.3 MB, and the DOT text was joined into one string,
+    # 1.9-2.2 MB.  Row by row and line by line they peak at 0.2-0.5 and
+    # 0.4-0.7 MB, warm caches or cold.
+    code, peak = _traced_peak(monkeypatch, argv)
+    assert code == 0
+    assert peak < bound
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_streamed_word_product_is_the_written_matrix_product(capsys, n, fmt):
+    basis = model_sn.model_basis(n)
+    for mu in perm.partitions(n):
+        code, out, _ = run(
+            capsys, "matrix", "--kind", "hecke", "--n", str(n), "--mu", ",".join(map(str, mu)),
+            "--format", fmt,
+        )
+        m = rho_q_of_word(model_hecke.t_mu_word(mu), basis)
+        expected = io.StringIO()
+        write_matrix(expected, fmt, m.dim, m.cells())
+        assert (code, out) == (0, expected.getvalue()), mu
+
+
+def test_word_past_the_packed_bound_is_refused_before_the_first_byte(capsys, monkeypatch):
+    # With 8-bit digits the bound is dim * 3^L < 2^7: 10 * 3^3 is past it at n=4.
+    monkeypatch.setattr(model_hecke, "SHIFT", 8)
+    code, out, err = run(capsys, "matrix", "--kind", "hecke", "--n", "4", "--mu", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: a word of 3 letters at dim 10 is past the packed bound\n"
+
+
+def test_broken_grading_fails_the_word_product_before_the_first_byte(capsys, monkeypatch):
+    # The 2-cycle count is constant under conjugation, so no case tag can be read.
+    lengths = tuple(len(perm.involution_pairs(w)) for w in model_sn.model_basis(5).involutions)
+    monkeypatch.setattr(model_hecke, "involutive_order", lambda n: lengths)
+    code, out, err = run(capsys, "matrix", "--kind", "hecke", "--n", "5", "--mu", "5")
+    assert (code, out) == (1, "")
+    assert err.startswith("internal consistency error: conjugation by s_1 changes")
 
 
 def test_characters_single_mu(capsys):

@@ -18,15 +18,16 @@ from gelfand.model_hecke import (
     order_relation,
     poset_dot,
     rho_q_generator,
-    rho_q_of_word,
     rho_q_trace,
+    rho_q_word_cells,
+    row_times_generator,
     t_mu_word,
     type_traces,
     verify_hecke_model,
 )
-from gelfand.model_sn import model_basis, orbit_walk, rho_generator_matrix
+from gelfand.model_sn import conjugates, model_basis, orbit_walk, rho_generator_matrix
 from gelfand.qpoly import ONE, Q, ZERO, PolyMatrix, QPoly, minus_q_power
-from references import cycle_notation, poly_entries
+from references import cycle_notation, poly_entries, rho_q_of_word
 
 
 def test_minimal_involutions_have_length_zero():
@@ -199,6 +200,31 @@ def test_word_product_and_quadratic():
     )
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_row_kernel_rows_are_the_generator_columns_read_across(n):
+    basis = model_basis(n)
+    for i in range(1, n):
+        cols = rho_q_generator(i, basis).cols
+        table, tags = conjugates(n, i), model_hecke._case_tags(i, basis)
+        for k in range(basis.dim):
+            row = {c: col[k] for c, col in enumerate(cols) if k in col}
+            assert row_times_generator({k: 1}, table, tags) == row, (i, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, max(n - 1, 1)), max_size=7))
+    )
+)
+def test_streamed_word_rows_are_the_matrix_product(case):
+    # Any word, repeated and falling letters too: entries that cancel are dropped.
+    n, word = case
+    word = word if n > 1 else []
+    basis = model_basis(n)
+    assert list(rho_q_word_cells(word, basis)) == rho_q_of_word(word, basis).cells()
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_hecke_relations(n):
     basis = model_basis(n)
@@ -324,12 +350,16 @@ def test_words_beyond_the_packed_bound_are_refused_before_any_work(monkeypatch):
     basis = model_basis(3)
     longest = [1, 2] * 19
     assert rho_q_trace(longest, basis, _gens(basis)) == rho_q_of_word(longest, basis).trace()
+    assert list(rho_q_word_cells(longest, basis)) == rho_q_of_word(longest, basis).cells()
     monkeypatch.setattr(model_hecke, "rho_q_generator", None)
+    monkeypatch.setattr(model_hecke, "_case_tags", None)
     for word in ([1] * 39, [1, 2] * 20):
         with pytest.raises(CapacityError, match=f"word of {len(word)} letters at dim 4 is past"):
             rho_q_trace(word, basis, {})
         with pytest.raises(CapacityError, match=f"word of {len(word)} letters at dim 4 is past"):
             rho_q_of_word(word, basis)
+        with pytest.raises(CapacityError, match=f"word of {len(word)} letters at dim 4 is past"):
+            rho_q_word_cells(word, basis)
 
 
 def test_column_action_trace_reads_any_column_shape():
@@ -546,14 +576,14 @@ def test_wrong_grading_is_reported_not_raised(monkeypatch, capsys):
 
 
 def test_poset_dot_small():
-    d2 = poset_dot(2)
+    d2 = "".join(poset_dot(2))
     assert " -> " not in d2
     assert d2.count("label=") >= 2
-    d3 = poset_dot(3)
+    d3 = "".join(poset_dot(3))
     assert d3.count(" -> ") == 2
     assert 'v2 -> v3 [label="s2"]' in d3  # (1 2) climbs to (1 3)
     assert 'v3 -> v1 [label="s1"]' in d3  # (1 3) climbs to (2 3)
-    assert poset_dot(4) == poset_dot(4)
+    assert "".join(poset_dot(4)) == "".join(poset_dot(4))
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -169,6 +169,30 @@ def test_mu_unimodal_examples():
     assert perm.is_mu_unimodal((1, 3, 2), (3,))
 
 
+def _is_mu_unimodal_by_slices(p, mu):
+    """Each mu-block sliced into a new tuple and scanned: the body the in-place scan replaced."""
+    pos = 0
+    for part in mu:
+        block = p[pos : pos + part]
+        k = 1
+        while k < part and block[k] > block[k - 1]:
+            k += 1
+        while k < part and block[k] < block[k - 1]:
+            k += 1
+        if k < part:
+            return False
+        pos += part
+    return True
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mu_unimodal_scan_in_place_is_the_sliced_scan(n):
+    types = list(perm.partitions(n))
+    for w, _, _ in perm.involution_walk(n):
+        for mu in types:
+            assert perm.is_mu_unimodal(w, mu) == _is_mu_unimodal_by_slices(w, mu), (w, mu)
+
+
 @given(windows())
 def test_single_blocks_always_unimodal(p):
     assert perm.is_mu_unimodal(p, (1,) * len(p))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gelfand import qpoly
 from gelfand.qpoly import (
     ONE, Q, SHIFT, ZERO, PolyMatrix, QPoly, minus_q_power, minus_q_sum, pack, unpack, write_matrix,
 )
@@ -283,6 +284,12 @@ def test_text_writer_prints_each_entry_as_its_qpoly(case):
     assert [(r, c) for r, c, _ in m.cells()] == [key for key, _ in entries]
     lines = "".join(f"({r},{c}) {f}\n" for (r, c), f in entries)
     assert written(m, "text") == f"dim {dim}\n" + lines
+
+
+def test_text_writer_formats_coefficient_lists_with_no_qpoly(monkeypatch):
+    m = from_entries(2, {(0, 0): QPoly({0: -1, 2: 3, 3: -1}), (0, 1): 5 * Q, (1, 1): -7})
+    monkeypatch.setattr(qpoly, "QPoly", None)
+    assert written(m, "text") == "dim 2\n(0,0) -1 + 3 q^2 - q^3\n(0,1) 5 q\n(1,1) -7\n"
 
 
 def test_specialize_drops_zeros():
