@@ -76,8 +76,8 @@ def _conjugation_distances(n: int, k: int) -> dict[Window, int]:
     """
     basis = model_basis(n)
     tables = [conjugates(n, i) for i in range(1, n)]
-    paths = perm.bfs(basis.index[minimal_involution(n, k)], lambda c: [t[c] for t in tables])
-    return {basis.involutions[c]: len(path) for c, path in paths.items()}
+    depths = perm.bfs(basis.index[minimal_involution(n, k)], lambda c: [t[c] for t in tables])
+    return {basis.involutions[c]: d for c, d in depths.items()}
 
 
 def involutive_length_oracle(w: Window) -> int:

@@ -216,28 +216,22 @@ def conjugacy_class_reps(n: int) -> list[tuple[Partition, Window]]:
     return out
 
 
-def bfs(start: Hashable, moves: Callable[[Any], Sequence[Any]]) -> dict[Any, tuple[int, ...]]:
+def bfs(start: Hashable, moves: Callable[[Any], Sequence[Any]]) -> dict[Any, int]:
     """Breadth-first walk from ``start``; ``moves(v)`` lists v's neighbours in a fixed order.
 
-    Maps every node reached to the first path found to it, the tuple of
-    neighbour positions taken from ``start``.  Each such path is a shortest
-    one and, among the shortest, the lexicographically least.
+    Maps every node reached, in the order reached, to its distance from ``start``.
 
     >>> bfs(0, lambda v: [(v + 1) % 4, (v + 3) % 4])
-    {0: (), 1: (0,), 3: (1,), 2: (0, 0)}
+    {0: 0, 1: 1, 3: 1, 2: 2}
     """
-    paths = {start: ()}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            path = paths[v]
-            for k, u in enumerate(moves(v)):
-                if u not in paths:
-                    paths[u] = path + (k,)
-                    nxt.append(u)
-        frontier = nxt
-    return paths
+    depth = {start: 0}
+    queue = [start]
+    for v in queue:
+        for u in moves(v):
+            if u not in depth:
+                depth[u] = depth[v] + 1
+                queue.append(u)
+    return depth
 
 
 def bfs_word_lengths(n: int) -> dict[Window, int]:
@@ -247,8 +241,7 @@ def bfs_word_lengths(n: int) -> dict[Window, int]:
     is shorter); exponential in n.
     """
     gens = [generator(n, i) for i in range(1, n)]
-    paths = bfs(identity(n), lambda p: [compose(p, g) for g in gens])
-    return {p: len(word) for p, word in paths.items()}
+    return bfs(identity(n), lambda p: [compose(p, g) for g in gens])
 
 
 def random_window(n: int, rng: random.Random) -> Window:

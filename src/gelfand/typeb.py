@@ -73,11 +73,41 @@ def b_model_basis(n: int) -> ModelBasis:
     return ModelBasis(n=n, involutions=invs, index={w: i for i, w in enumerate(invs)})
 
 
+def b_inverse(w: SignedWindow) -> SignedWindow:
+    """The window sends i to w[i-1], so its inverse sends |w[i-1]| to i with that sign."""
+    inv = [0] * len(w)
+    for i, x in enumerate(w, 1):
+        inv[abs(x) - 1] = i if x > 0 else -i
+    return tuple(inv)
+
+
+def b_reduced_word(g: SignedWindow) -> tuple[int, ...]:
+    """A shortest generator word of g, built from its smallest left descent first.
+
+    i is a left descent of g when s_i g is shorter: for i = 0 when g^-1(1) < 0,
+    and for i >= 1 when g^-1(i) > g^-1(i+1).  Taking the smallest one off the
+    left each time needs no search of B_n and stops at the identity after as
+    many steps as the length of g.  The word is the lexicographically least
+    shortest one.
+    """
+    n, word = len(g), []
+    while True:
+        inv = b_inverse(g)
+        i = next((i for i in range(n) if (inv[0] < 0 if i == 0 else inv[i - 1] > inv[i])), None)
+        if i is None:
+            return tuple(word)
+        word.append(i)
+        g = b_compose(b_generator(n, i), g)
+
+
 @lru_cache(maxsize=None)
 def b_shortest_words(n: int) -> dict[SignedWindow, tuple[int, ...]]:
-    """A shortest generator word per element (lexicographically least one)."""
-    gens = [b_generator(n, i) for i in range(n)]
-    return perm.bfs(perm.identity(n), lambda g: [b_compose(g, s) for s in gens])
+    """``b_reduced_word`` of every element of B_n.
+
+    It stays only because the benchmark names its cache: no library code
+    reads it, and it goes when the benchmark is revised.
+    """
+    return {g: b_reduced_word(g) for g in b_elements(n)}
 
 
 def rho_b_generator(i: int, basis: ModelBasis) -> SignedPermMatrix:
@@ -91,13 +121,18 @@ def rho_b_generator(i: int, basis: ModelBasis) -> SignedPermMatrix:
 def rho_b_of_element(
     g: SignedWindow, basis: ModelBasis, gens: Mapping[int, SignedPermMatrix]
 ) -> SignedPermMatrix:
-    """Matrix of an arbitrary element, via a shortest generator word.
+    """Matrix of an arbitrary element: the product of the generator matrices
+    along ``b_reduced_word(g)``.
 
     ``gens`` maps each generator index to its ``rho_b_generator`` matrix, so
     a caller acting by many elements builds each generator once.
     """
+    if len(g) != basis.n:
+        raise ValueError(f"size mismatch: {len(g)} vs n={basis.n}")
+    if not is_signed_window(g):
+        raise ValueError(f"{g} is not a signed window")
     out = SignedPermMatrix.identity(basis.dim)
-    for i in b_shortest_words(basis.n)[g]:
+    for i in b_reduced_word(g):
         out = out @ gens[i]
     return out
 
@@ -112,20 +147,22 @@ def b_square_roots_count(g: SignedWindow) -> int:
 
 
 def b_conjugacy_class_reps(n: int) -> tuple[SignedWindow, ...]:
-    """Canonical (sort-key minimal) representative per conjugacy class.
+    """Canonical (sort-key minimal) representative per conjugacy class, in sort-key order.
 
-    One sweep of B_n in sort-key order per call: each element not yet seen
-    opens a new class, whose whole orbit is then found by conjugating with
-    the generators.
+    One flood fill of B_n per call: each element not yet seen opens a new
+    class, whose whole orbit is then found by conjugating with the
+    generators, and gives the orbit's sort-key minimum.  Only the
+    representatives are sorted.
     """
     gens = [b_generator(n, i) for i in range(n)]
     seen: set[SignedWindow] = set()
     reps = []
-    for g in sorted(b_elements(n), key=signed_sort_key):
+    for g in b_elements(n):
         if g not in seen:
-            reps.append(g)
-            seen.update(perm.bfs(g, lambda h: [b_compose(s, b_compose(h, s)) for s in gens]))
-    return tuple(reps)
+            orbit = perm.bfs(g, lambda h: [b_compose(s, b_compose(h, s)) for s in gens])
+            seen.update(orbit)
+            reps.append(min(orbit, key=signed_sort_key))
+    return tuple(sorted(reps, key=signed_sort_key))
 
 
 def pairs_of_partitions_count(n: int) -> int:
@@ -137,8 +174,9 @@ def pairs_of_partitions_count(n: int) -> int:
 def verify_b_model(n: int) -> Report:
     """Check the type-B relations and the square-root trace identity.
 
-    The class representatives come from one orbit search over B_n, and the
-    square-root counts of the checked elements and the identity from one
+    The class representatives come from one flood fill of B_n by conjugation
+    orbits, each checked element acts along its left-descent word, and the
+    square-root counts of the checked elements and the identity come from one
     exhaustive sweep of B_n that counts those alone.
     """
     require_suite("typeb", n)

@@ -1,12 +1,12 @@
 """Slow reference views that only the tests read: cycle notation, QPoly matrix entries, the Hecke
-word product by full matrix products, and for the B_n model the signed inverse, the closed
-signed-conjugation rule, the signed cycle type, the square-root product formula, the
-written-down class representatives and a reduced word read off the left descents."""
+word product by full matrix products, and for the B_n model the shortest words by a BFS of B_n,
+the class representatives by a sorted sweep, the closed signed-conjugation rule, the signed cycle
+type, the square-root product formula and the written-down class representatives."""
 
-from gelfand import model_hecke
+from gelfand import model_hecke, perm
 from gelfand.model_sn import _pair_partitions
 from gelfand.qpoly import PolyMatrix, QPoly, unpack
-from gelfand.typeb import b_compose, b_generator
+from gelfand.typeb import b_compose, b_elements, b_generator, b_inverse, signed_sort_key
 
 
 def cycles(p):
@@ -55,29 +55,32 @@ def rho_q_of_word(word, basis):
     return out
 
 
-def b_inverse(w):
-    """The window sends i to w[i-1], so its inverse sends |w[i-1]| to i with that sign."""
-    inv = [0] * len(w)
-    for i, x in enumerate(w, 1):
-        inv[abs(x) - 1] = i if x > 0 else -i
-    return tuple(inv)
+def b_bfs_words(n):
+    """The first word found to every element of B_n by a BFS that extends words on the right, one
+    generator at a time in index order: its lexicographically least shortest word.  This is the
+    search that ``typeb.b_reduced_word`` replaces."""
+    queue = [perm.identity(n)]
+    words = {queue[0]: ()}
+    for g in queue:
+        for i in range(n):
+            h = b_compose(g, b_generator(n, i))
+            if h not in words:
+                words[h] = words[g] + (i,)
+                queue.append(h)
+    return words
 
 
-def b_reduced_word(g):
-    """A shortest generator word of g in B_n, built from its smallest left descent first.
-
-    i is a left descent of g when s_i g is shorter: for i = 0 when g^-1(1) < 0, and for i >= 1
-    when g^-1(i) > g^-1(i+1).  Taking the smallest one off the left each time needs no search
-    of B_n and stops at the identity after as many steps as the length of g.
-    """
-    n, word = len(g), []
-    while True:
-        inv = b_inverse(g)
-        descents = [i for i in range(n) if (inv[0] < 0 if i == 0 else inv[i - 1] > inv[i])]
-        if not descents:
-            return tuple(word)
-        word.append(descents[0])
-        g = b_compose(b_generator(n, descents[0]), g)
+def b_class_reps_by_sorted_sweep(n):
+    """The sort-key least element of every conjugacy class of B_n: a sweep of all of B_n in
+    sort-key order, where each element not yet seen opens a class and its orbit under
+    conjugation by the generators is marked seen."""
+    gens = [b_generator(n, i) for i in range(n)]
+    seen, reps = set(), []
+    for g in sorted(b_elements(n), key=signed_sort_key):
+        if g not in seen:
+            reps.append(g)
+            seen.update(perm.bfs(g, lambda h: [b_compose(s, b_compose(h, s)) for s in gens]))
+    return tuple(reps)
 
 
 def b_signed_conjugation(g, basis):

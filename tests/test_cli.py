@@ -434,6 +434,16 @@ def test_streamed_exports_hold_no_whole_product_or_text(monkeypatch, argv, bound
     assert peak < bound
 
 
+def test_typeb_element_matrix_searches_no_word_table(monkeypatch, fresh_caches):
+    # A shortest word of every element of B_6, found by BFS before the one
+    # element's word was read, peaked at 16.4 MB on this call; the element's
+    # own left-descent word peaks at about 1 MB.
+    argv = ["matrix", "--kind", "typeb", "--n", "6", "--element=-6,-5,-4,-3,-2,-1"]
+    code, peak = _traced_peak(monkeypatch, argv)
+    assert code == 0
+    assert peak < 3_000_000
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_streamed_word_product_is_the_written_matrix_product(capsys, n, fmt):

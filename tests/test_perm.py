@@ -47,13 +47,13 @@ def test_inverse_is_involutive(p):
     assert perm.compose(p, perm.inverse(p)) == perm.identity(len(p))
 
 
-def test_bfs_paths_are_shortest_and_least():
-    # From a: c by (1,) and by the longer but smaller (0, 0, 0); d by (0, 1)
-    # and (1, 0); e by (0, 0) and (1, 1).
+def test_bfs_depths_are_shortest_distances():
+    # From a: c at 1, though a longer walk a-b-e-c reaches it too; d and e at
+    # 2, each by two walks.  Nodes come in the order reached.
     graph = {"a": "bc", "b": "ed", "c": "de", "d": "", "e": "cb"}
-    paths = perm.bfs("a", lambda v: graph[v])
-    assert paths == {"a": (), "b": (0,), "c": (1,), "e": (0, 0), "d": (0, 1)}
-    assert list(paths) == ["a", "b", "c", "e", "d"]
+    depths = perm.bfs("a", lambda v: graph[v])
+    assert depths == {"a": 0, "b": 1, "c": 1, "e": 2, "d": 2}
+    assert list(depths) == ["a", "b", "c", "e", "d"]
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -9,8 +9,10 @@ from gelfand.typeb import (
     b_conjugacy_class_reps,
     b_elements,
     b_generator,
+    b_inverse,
     b_involutions,
     b_model_basis,
+    b_reduced_word,
     b_shortest_words,
     b_square_roots_count,
     is_signed_window,
@@ -21,7 +23,7 @@ from gelfand.typeb import (
     verify_b_model,
 )
 from references import (
-    b_class_representative, b_inverse, b_reduced_word, b_signed_conjugation,
+    b_bfs_words, b_class_representative, b_class_reps_by_sorted_sweep, b_signed_conjugation,
     b_square_root_formula, signed_cycle_type,
 )
 
@@ -107,16 +109,18 @@ def test_shortest_words_are_least_among_shortest(n):
                 g = b_compose(g, b_generator(n, i))
             expected.setdefault(g, word)
     assert b_shortest_words(n) == expected
+    assert b_bfs_words(n) == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_smallest_left_descent_words_are_the_bfs_words(n):
     # The BFS word of every element of B_n, read off its left descents with no
-    # search: an element action over this word multiplies the same generators.
-    words = b_shortest_words(n)
+    # search: the element action multiplies the generators the BFS word names.
+    words = b_bfs_words(n)
     assert len(words) == len(list(b_elements(n)))
     for g, word in words.items():
         assert b_reduced_word(g) == word, g
+    assert b_shortest_words(n) == words
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -143,6 +147,24 @@ def test_element_action_is_signed_conjugation_with_a_closed_sign(n):
     for g in b_elements(n):
         m = rho_b_of_element(g, basis, gens)
         assert (m.rows, m.signs) == b_signed_conjugation(g, basis), g
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [((1, -2), "size mismatch: 2 vs n=3"), ((1, -1, 2), "(1, -1, 2) is not a signed window")],
+    ids=["short", "repeated-letter"],
+)
+def test_element_action_refuses_a_malformed_element(monkeypatch, g, message):
+    basis = b_model_basis(3)
+    gens = {i: rho_b_generator(i, basis) for i in range(3)}
+
+    def refuse(g):
+        raise AssertionError("the descent loop ran")
+
+    monkeypatch.setattr(typeb, "b_reduced_word", refuse)
+    with pytest.raises(ValueError) as err:
+        rho_b_of_element(g, basis, gens)
+    assert str(err.value) == message
 
 
 def test_sign_flip_generator_action():
@@ -219,6 +241,11 @@ def test_class_reps_match_conjugation_by_every_element(n):
             seen.update(b_compose(h, b_compose(g, b_inverse(h))) for h in elements)
             expected.append(g)
     assert b_conjugacy_class_reps(n) == tuple(expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_class_reps_equal_the_sorted_sweep(n):
+    assert b_conjugacy_class_reps(n) == b_class_reps_by_sorted_sweep(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
