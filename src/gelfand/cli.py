@@ -315,7 +315,7 @@ def _character_rows(args: argparse.Namespace) -> list[dict]:
         ]
     require("characters_hecke", args.n)
     basis = model_sn.model_basis(args.n)
-    gens = {i: model_hecke.rho_q_generator(i, basis) for i in range(1, args.n)}
+    gens = {i: model_hecke.rho_q_rows(i, basis) for i in range(1, args.n)}
     return [
         {"mu": list(mu), "trace": str(tr), "unimodal_sum": str(um), "match": tr == um}
         for mu, tr, um in model_hecke.type_traces(basis, gens, args.mu)

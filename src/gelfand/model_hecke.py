@@ -4,7 +4,9 @@ The generator T_i acts on C_w through four cases: -q C_w or C_w when s_i
 fixes w by conjugation (descent or not), and (1-q) C_w + q C_{s w s} or
 C_{s w s} when conjugation moves w up or down in the involutive weak order.
 The case of each (s_i, w) is read once per generator; the columns of T_i and
-its rows are both built from that reading and the ``conjugates`` table.
+its rows are both built from that reading and the ``conjugates`` table.  The
+verify suite and the characters act by rows alone, on ``RowWord``s: a word in
+the T_i is never multiplied out, and every row of it is read off the tables.
 The weak order is graded by the involutive length, read off
 ``perm.involution_walk`` as a tuple in basis order, and so indexed as
 ``model_sn.conjugates`` is; a closed formula and a BFS oracle check it.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator, Literal, Mapping, Sequence
 
 from . import perm
@@ -23,7 +25,7 @@ from .model_sn import (
     ModelBasis, conjugates, model_basis, pair_orbits, relation_checks, rho_generator_matrix
 )
 from .perm import Partition, Window
-from .qpoly import ONE, Q, SHIFT, PolyMatrix, QPoly, minus_q_sum, pack, unpack
+from .qpoly import SHIFT, PolyMatrix, QPoly, minus_q_sum, unpack
 from .qpoly import minus_q_power  # noqa: F401 (perfbench probes it)
 from .report import Check, Report, first_failure
 
@@ -135,7 +137,7 @@ def _case_tags(i: int, basis: ModelBasis) -> tuple[CaseTag, ...]:
     """The action case of s_i on every basis involution, in basis order.
 
     The one reading of the four cases per generator: ``rho_q_generator``
-    builds T_i's columns from it and ``row_times_generator`` T_i's rows.
+    builds T_i's columns from it and ``rho_q_rows`` T_i's rows.
     """
     lengths = involutive_order(basis.n)
     invs = basis.involutions
@@ -144,7 +146,7 @@ def _case_tags(i: int, basis: ModelBasis) -> tuple[CaseTag, ...]:
 
 def rho_q_generator(i: int, basis: ModelBasis) -> PolyMatrix:
     """Matrix of T_i: at most two nonzero entries per column, of coefficient 1-norm <= 3."""
-    q = pack(Q)
+    q = 1 << SHIFT
     cols = []
     for c, (r, tag) in enumerate(zip(conjugates(basis.n, i), _case_tags(i, basis))):
         if tag == "fixed_descent":
@@ -185,6 +187,72 @@ def row_times_generator(
     return {c: v for c, v in acc.items() if v} if 0 in acc.values() else acc
 
 
+class RowWord:
+    """A word T_{i1} ... T_{iL} in the generators, never multiplied out.
+
+    Each letter is held as its ``conjugates`` table and ``_case_tags``, and
+    the word acts on a row vector through ``row_times_generator``, letter by
+    letter.  ``@`` joins two words without computing anything; ``==`` compares
+    e_k^T A with e_k^T B on every basis row k, so ``model_sn.relation_checks``
+    reads row words as it reads matrices.
+    """
+
+    __slots__ = ("dim", "letters")
+
+    def __init__(
+        self, dim: int, letters: tuple[tuple[Sequence[int], Sequence[CaseTag]], ...] = ()
+    ) -> None:
+        self.dim = dim
+        self.letters = letters
+
+    def times(self, vec: Mapping[int, int]) -> Mapping[int, int]:
+        """The row vector ``vec`` times this word, stored as index -> packed entry."""
+        for table, tags in self.letters:
+            vec = row_times_generator(vec, table, tags)
+        return vec
+
+    def _check_dim(self, other: "RowWord") -> None:
+        if self.dim != other.dim:
+            raise ValueError(f"dim mismatch: {self.dim} vs {other.dim}")
+
+    def __matmul__(self, other: "RowWord") -> "RowWord":
+        self._check_dim(other)
+        return RowWord(self.dim, self.letters + other.letters)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RowWord):
+            return NotImplemented
+        self._check_dim(other)
+        return all(self.times({k: 1}) == other.times({k: 1}) for k in range(self.dim))
+
+    def specialize(self, x) -> dict[tuple[int, int], object]:
+        """Evaluate every entry at x, row by row; zero results are dropped."""
+        out = {}
+        for k in range(self.dim):
+            row = self.times({k: 1})
+            for c, coeffs in zip(row, unpack(row.values())):
+                v = sum(a * x**d for d, a in enumerate(coeffs))
+                if v != 0:
+                    out[(k, c)] = v
+        return out
+
+
+def rho_q_rows(i: int, basis: ModelBasis) -> RowWord:
+    """T_i as a one-letter row word; its case tags are read here, so a broken grading raises."""
+    return RowWord(basis.dim, ((conjugates(basis.n, i), _case_tags(i, basis)),))
+
+
+def _quadratic_holds(t: RowWord) -> bool:
+    """(T + q)(T - 1) = 0, row by row: e_k^T T T = (1 - q) e_k^T T + q e_k for every k."""
+    for k in range(t.dim):
+        row = t.times({k: 1})
+        rhs = {c: v - (v << SHIFT) for c, v in row.items()}
+        rhs[k] = rhs.get(k, 0) + (1 << SHIFT)
+        if t.times(row) != {c: v for c, v in rhs.items() if v}:
+            return False
+    return True
+
+
 def _require_exact(dim: int, word: list[int] | tuple[int, ...]) -> None:
     """Refuse a word whose trace bound dim * 3^len(word) leaves the packed digits (see SHIFT)."""
     if dim * 3 ** len(word) >= 1 << (SHIFT - 1):
@@ -196,21 +264,19 @@ def rho_q_word_cells(
 ) -> Iterator[tuple[int, int, list[int]]]:
     """The nonzero cells (row, col, coefficient list) of the product T_{i1} ... T_{iL}.
 
-    Row r is e_r^T T_{i1} ... T_{iL}, one ``row_times_generator`` step per
-    letter; its cells come in column order, unpacked, before the next row is
+    Row r is e_r^T T_{i1} ... T_{iL}, read off the ``rho_q_rows`` product of
+    the word; its cells come in column order, unpacked, before the next row is
     made, so no generator or product matrix is held.  The packed bound and
     every letter's case tags are checked here, before the first cell, so a
     refusal or a broken grading is raised before any output.
     """
     _require_exact(basis.dim, word)
-    steps = {i: (conjugates(basis.n, i), _case_tags(i, basis)) for i in set(word)}
-    letters = [steps[i] for i in word]
+    gens = {i: rho_q_rows(i, basis) for i in set(word)}
+    product = reduce(RowWord.__matmul__, [gens[i] for i in word], RowWord(basis.dim))
 
     def cells() -> Iterator[tuple[int, int, list[int]]]:
         for r in range(basis.dim):
-            vec = {r: 1}
-            for table, tags in letters:
-                vec = row_times_generator(vec, table, tags)
+            vec = product.times({r: 1})
             cols = sorted(vec)
             yield from zip(itertools.repeat(r), cols, unpack([vec[c] for c in cols]))
 
@@ -234,33 +300,41 @@ def mu_descent_number(w: Window, mu: Partition) -> int:
 
 
 def rho_q_trace(
-    word: list[int] | tuple[int, ...], basis: ModelBasis, gens: Mapping[int, PolyMatrix]
-) -> QPoly:
-    """Trace of the word's product of ``gens`` matrices, by column action.
+    words: Sequence[Sequence[int]], basis: ModelBasis, gens: Mapping[int, RowWord]
+) -> list[QPoly]:
+    """Trace of the product of ``gens`` along each of ``words``, by one trie walk per basis row.
 
-    ``gens`` maps each generator index to its matrix, built once by the
-    caller.  For each basis vector e_c the word's generator columns act on
-    e_c from right to left, on a vector stored as index -> packed entry; the
-    coefficient of e_c is read off and summed over c into one packed total.
-    No product matrix is formed, and each step touches only the nonzeros of
-    the columns it reaches (at most two per column for the model's T_i).
+    ``gens`` maps each generator index to its row word, built once by the
+    caller.  The prefixes of the words, in lexicographic order, are the
+    preorder walk of their prefix tree.  For each basis row k the walk starts
+    from e_k^T and makes each prefix's row vector from its parent's by one
+    ``gens`` step; the k-th entry of a word's row is added to that word's
+    packed total.  A shared prefix is stepped once per row, and no product
+    matrix is formed.  Every word is checked against the packed bound before
+    the walk starts.
     """
-    _require_exact(basis.dim, word)
-    total = 0
-    for c in range(basis.dim):
-        vec = {c: 1}
-        for i in reversed(word):
-            vec = gens[i].apply(vec)
-        total += vec.get(c, 0)
-    (coeffs,) = unpack([total])
-    return QPoly(enumerate(coeffs))
+    for word in words:
+        _require_exact(basis.dim, word)
+    ends: dict[tuple[int, ...], list[int]] = {}
+    for w, word in enumerate(words):
+        ends.setdefault(tuple(word), []).append(w)
+    nodes = sorted({tuple(word[:m]) for word in words for m in range(len(word) + 1)})
+    totals = [0] * len(words)
+    for k in range(basis.dim):
+        path: list[Mapping[int, int]] = []  # the rows of the prefixes of the node
+        for node in nodes:
+            del path[len(node) :]
+            path.append(gens[node[-1]].times(path[-1]) if node else {k: 1})
+            for w in ends.get(node, ()):
+                totals[w] += path[-1].get(k, 0)
+    return [QPoly(enumerate(coeffs)) for coeffs in unpack(totals)]
 
 
 def hecke_model_character(
-    mu: Partition, basis: ModelBasis, gens: Mapping[int, PolyMatrix]
+    mu: Partition, basis: ModelBasis, gens: Mapping[int, RowWord]
 ) -> QPoly:
     """Trace of the model at the subproduct element T_{w_mu}, from prebuilt ``gens``."""
-    return rho_q_trace(t_mu_word(mu), basis, gens)
+    return rho_q_trace([t_mu_word(mu)], basis, gens)[0]
 
 
 def mu_unimodal_character(mu: Partition) -> QPoly:
@@ -274,16 +348,20 @@ def mu_unimodal_character(mu: Partition) -> QPoly:
 
 
 def type_traces(
-    basis: ModelBasis, gens: Mapping[int, PolyMatrix], mu: Partition | None = None
+    basis: ModelBasis, gens: Mapping[int, RowWord], mu: Partition | None = None
 ) -> Iterator[tuple[Partition, QPoly, QPoly]]:
-    """(mu, column-action trace at T_{w_mu}, signed unimodal sum) per type, or for ``mu`` alone.
+    """(mu, four-case trace at T_{w_mu}, signed unimodal sum) per type, or for ``mu`` alone.
+
+    The traces of all the types come from one ``rho_q_trace`` walk.
 
     >>> basis = model_basis(3)
-    >>> list(type_traces(basis, {i: rho_q_generator(i, basis) for i in (1, 2)}, (3,)))
+    >>> list(type_traces(basis, {i: rho_q_rows(i, basis) for i in (1, 2)}, (3,)))
     [((3,), QPoly('1 - q + q^2'), QPoly('1 - q + q^2'))]
     """
-    for m in perm.partitions(basis.n) if mu is None else [mu]:
-        yield m, hecke_model_character(m, basis, gens), mu_unimodal_character(m)
+    types = list(perm.partitions(basis.n)) if mu is None else [mu]
+    traces = rho_q_trace([t_mu_word(m) for m in types], basis, gens)
+    for m, trace in zip(types, traces):
+        yield m, trace, mu_unimodal_character(m)
 
 
 def _orbit_interval_witnesses(n: int) -> Iterator[str]:
@@ -316,7 +394,7 @@ def _orbit_interval_witnesses(n: int) -> Iterator[str]:
             yield f"orbit of size {len(walk)} at i={i}, w={min(walk)}"
 
 
-# The checks that read the T_i matrices, in report order.
+# The checks that read the T_i, in report order.
 _GENERATOR_CHECKS = (
     "quadratic relation (T + q)(T - 1) = 0 per generator",
     "distant generators commute",
@@ -377,17 +455,14 @@ def verify_hecke_model(n: int) -> Report:
     )
 
     try:
-        gens = {i: rho_q_generator(i, basis) for i in range(1, n)}
+        gens = {i: rho_q_rows(i, basis) for i in range(1, n)}
     except InternalConsistencyError as exc:
         # No T_i without the grading, so every check below fails on it.
         checks.extend(Check(name, False, f"T_i not built: {exc}") for name in _GENERATOR_CHECKS)
         return Report("hecke", n, tuple(checks))
-    ident = PolyMatrix.identity(basis.dim)
     checks.extend(
         relation_checks(
-            gens,
-            lambda m: m @ m == m.scale(ONE - Q).add(ident.scale(Q)),
-            "quadratic relation (T + q)(T - 1) = 0 per generator",
+            gens, _quadratic_holds, "quadratic relation (T + q)(T - 1) = 0 per generator"
         )
     )
     checks.append(

@@ -301,7 +301,7 @@ def verify_rsk(n: int) -> Report:
     )
 
     if n <= 5:
-        gens = {i: model_hecke.rho_q_generator(i, basis) for i in range(1, n)}
+        gens = {i: model_hecke.rho_q_rows(i, basis) for i in range(1, n)}
         lams = list(tableaux)
         rows = [(lam, *row) for lam in lams for row in lambda_traces(lam)]
         checks += [

@@ -1,7 +1,8 @@
 """Slow reference views that only the tests read: cycle notation, QPoly matrix entries, the Hecke
-word product by full matrix products, and for the B_n model the shortest words by a BFS of B_n,
-the class representatives by a sorted sweep, the closed signed-conjugation rule, the signed cycle
-type, the square-root product formula and the written-down class representatives."""
+word product by full matrix products and its trace by column action, and for the B_n model the
+shortest words by a BFS of B_n, the class representatives by a sorted sweep, the closed
+signed-conjugation rule, the signed cycle type, the square-root product formula and the
+written-down class representatives."""
 
 from gelfand import model_hecke, perm
 from gelfand.model_sn import _pair_partitions
@@ -53,6 +54,24 @@ def rho_q_of_word(word, basis):
     for i in word:
         out = out @ model_hecke.rho_q_generator(i, basis)
     return out
+
+
+def column_action_trace(word, basis, gens):
+    """Trace of the word's product of the ``gens`` matrices, by column action, one word at a time.
+
+    For each basis vector e_c the word's generator columns act on e_c from right to left, on a
+    vector stored as index -> packed entry; the coefficient of e_c is read off and summed over c.
+    The per-word path that ``model_hecke.rho_q_trace``'s trie walk over row words replaced.
+    """
+    model_hecke._require_exact(basis.dim, word)
+    total = 0
+    for c in range(basis.dim):
+        vec = {c: 1}
+        for i in reversed(word):
+            vec = gens[i].apply(vec)
+        total += vec.get(c, 0)
+    (coeffs,) = unpack([total])
+    return QPoly(enumerate(coeffs))
 
 
 def b_bfs_words(n):

@@ -127,7 +127,7 @@ def test_07_specialization_at_one():
 
 def _hecke_trace(mu):
     basis = model_basis(sum(mu))
-    gens = {i: model_hecke.rho_q_generator(i, basis) for i in range(1, basis.n)}
+    gens = {i: model_hecke.rho_q_rows(i, basis) for i in range(1, basis.n)}
     return model_hecke.hecke_model_character(mu, basis, gens)
 
 

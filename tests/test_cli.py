@@ -269,13 +269,14 @@ def test_one_wrong_trace_row_fails_verify_and_characters(capsys, monkeypatch, ta
 
 
 def test_one_wrong_hecke_trace_fails_both_suites_and_characters(capsys, monkeypatch):
-    # type_traces and the rsk sum check both read the trace off hecke_model_character.
-    original = model_hecke.hecke_model_character
+    # type_traces and the rsk sum check both read the trace off the trie kernel
+    # rho_q_trace; at n=3 the word [1, 2] is T_{w_mu} of mu=(3,) alone.
+    original = model_hecke.rho_q_trace
 
-    def wrong_at_3(mu, *a):
-        return original(mu, *a) + (mu == (3,))
+    def wrong_at_3(words, *a):
+        return [t + (list(w) == [1, 2]) for w, t in zip(words, original(words, *a))]
 
-    monkeypatch.setattr(model_hecke, "hecke_model_character", wrong_at_3)
+    monkeypatch.setattr(model_hecke, "rho_q_trace", wrong_at_3)
     for scope, name in [
         ("hecke", "trace equals the signed unimodal-involution sum for every type"),
         ("rsk", "irreducible characters sum to the model trace"),
@@ -429,6 +430,26 @@ def test_streamed_exports_hold_no_whole_product_or_text(monkeypatch, argv, bound
     # first byte, 4.8-5.3 MB, and the DOT text was joined into one string,
     # 1.9-2.2 MB.  Row by row and line by line they peak at 0.2-0.5 and
     # 0.4-0.7 MB, warm caches or cold.
+    code, peak = _traced_peak(monkeypatch, argv)
+    assert code == 0
+    assert peak < bound
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["verify", "--scope", "hecke", "--n", "8"], 1_500_000),
+        (["characters", "--kind", "hecke", "--n", "9"], 2_000_000),
+    ],
+    ids=["verify", "characters"],
+)
+def test_hecke_suite_and_characters_hold_no_generator_matrix(
+    monkeypatch, fresh_caches, argv, bound
+):
+    # Every T_i as a PolyMatrix, with the relation products, peaked at 3.0 MB
+    # on the verify call and 6.2 MB on the characters call; as row words read
+    # off the conjugation tables, with one trie walk for the traces, they peak
+    # at about 0.8 MB each, cold caches.
     code, peak = _traced_peak(monkeypatch, argv)
     assert code == 0
     assert peak < bound

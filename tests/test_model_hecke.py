@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from gelfand import cli, model_hecke, perm
 from gelfand.errors import CapacityError
 from gelfand.model_hecke import (
+    RowWord,
     cover_edges,
     hecke_model_character,
     involutive_length,
@@ -18,6 +21,7 @@ from gelfand.model_hecke import (
     order_relation,
     poset_dot,
     rho_q_generator,
+    rho_q_rows,
     rho_q_trace,
     rho_q_word_cells,
     row_times_generator,
@@ -27,7 +31,7 @@ from gelfand.model_hecke import (
 )
 from gelfand.model_sn import conjugates, model_basis, orbit_walk, rho_generator_matrix
 from gelfand.qpoly import ONE, Q, ZERO, PolyMatrix, QPoly, minus_q_power
-from references import cycle_notation, poly_entries, rho_q_of_word
+from references import column_action_trace, cycle_notation, poly_entries, rho_q_of_word
 
 
 def test_minimal_involutions_have_length_zero():
@@ -281,6 +285,10 @@ def test_mu_descent_number_is_the_descent_set_on_the_subproduct_word(n):
 
 
 def _gens(basis):
+    return {i: rho_q_rows(i, basis) for i in range(1, basis.n)}
+
+
+def _matrices(basis):
     return {i: rho_q_generator(i, basis) for i in range(1, basis.n)}
 
 
@@ -299,26 +307,55 @@ def test_character_table_n3():
 
 @settings(max_examples=60, deadline=None)
 @given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.lists(st.integers(1, n - 1), max_size=7), max_size=6)
+        )
+    )
+)
+def test_trie_traces_equal_the_product_traces(case):
+    # Any list of words: repeated and falling letters, repeated words, and
+    # words that are prefixes of one another share the walk.
+    n, words = case
+    basis = model_basis(n)
+    expected = [rho_q_of_word(word, basis).trace() for word in words]
+    assert rho_q_trace(words, basis, _gens(basis)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
     st.integers(2, 6).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1), max_size=7))
     )
 )
 def test_column_action_trace_equals_product_trace(case):
+    # The column-action reference that the trie kernel is checked against.
     n, word = case
     basis = model_basis(n)
-    assert rho_q_trace(word, basis, _gens(basis)) == rho_q_of_word(word, basis).trace()
+    assert column_action_trace(word, basis, _matrices(basis)) == rho_q_of_word(word, basis).trace()
 
 
 @pytest.mark.parametrize("word", [[], [1, 1], [2, 2, 2], [1, 2, 1, 2, 1], [3, 1, 3, 3]])
 def test_column_action_trace_on_chosen_words(word):
     basis = model_basis(4)
-    assert rho_q_trace(word, basis, _gens(basis)) == rho_q_of_word(word, basis).trace()
+    trace = rho_q_of_word(word, basis).trace()
+    assert column_action_trace(word, basis, _matrices(basis)) == trace
+    assert rho_q_trace([word], basis, _gens(basis)) == [trace]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_trie_traces_equal_the_column_action_on_every_type(n):
+    basis = model_basis(n)
+    words = [t_mu_word(mu) for mu in perm.partitions(n)]
+    mats = _matrices(basis)
+    expected = [column_action_trace(word, basis, mats) for word in words]
+    assert rho_q_trace(words, basis, _gens(basis)) == expected
 
 
 def _dense_generators(basis):
     """Each T_i as a list of rows of QPoly entries."""
     dense = {}
-    for i, m in _gens(basis).items():
+    for i, m in _matrices(basis).items():
         entries = poly_entries(m)
         dense[i] = [[entries.get((r, c), ZERO) for c in range(basis.dim)] for r in range(basis.dim)]
     return dense
@@ -341,43 +378,78 @@ def test_packed_trace_equals_the_dense_qpoly_product_trace(case):
             [sum((row[k] * g[k][c] for k in range(dim) if row[k]), ZERO) for c in range(dim)]
             for row in product
         ]
-    assert rho_q_trace(word, basis, _gens(basis)) == sum((product[c][c] for c in range(dim)), ZERO)
+    (trace,) = rho_q_trace([word], basis, _gens(basis))
+    assert trace == sum((product[c][c] for c in range(dim)), ZERO)
 
 
 def test_words_beyond_the_packed_bound_are_refused_before_any_work(monkeypatch):
     # dim 4 * 3^38 < 2^63 <= 4 * 3^39: the bound covers 38 letters at n=3, not 39
     basis = model_basis(3)
     longest = [1, 2] * 19
-    assert rho_q_trace(longest, basis, _gens(basis)) == rho_q_of_word(longest, basis).trace()
+    assert rho_q_trace([longest], basis, _gens(basis)) == [rho_q_of_word(longest, basis).trace()]
     assert list(rho_q_word_cells(longest, basis)) == rho_q_of_word(longest, basis).cells()
     monkeypatch.setattr(model_hecke, "rho_q_generator", None)
     monkeypatch.setattr(model_hecke, "_case_tags", None)
     for word in ([1] * 39, [1, 2] * 20):
         with pytest.raises(CapacityError, match=f"word of {len(word)} letters at dim 4 is past"):
-            rho_q_trace(word, basis, {})
+            rho_q_trace([word], basis, {})
         with pytest.raises(CapacityError, match=f"word of {len(word)} letters at dim 4 is past"):
             rho_q_of_word(word, basis)
         with pytest.raises(CapacityError, match=f"word of {len(word)} letters at dim 4 is past"):
             rho_q_word_cells(word, basis)
 
 
+def test_refused_word_steps_no_row(monkeypatch):
+    # The bound is checked on every word before the walk, so the good first
+    # word is not walked either.
+    basis = model_basis(3)
+    gens = _gens(basis)
+    steps = []
+    monkeypatch.setattr(model_hecke, "row_times_generator", lambda *a: steps.append(a))
+    with pytest.raises(CapacityError, match="word of 39 letters at dim 4 is past"):
+        rho_q_trace([[1, 2], [1] * 39], basis, gens)
+    assert steps == []
+
+
 def test_column_action_trace_reads_any_column_shape():
     # T_2 T_3 in the place of T_2, as in test_relation_checks: its columns
-    # have up to four nonzeros, which the trace must still follow exactly
+    # have up to four nonzeros, which the column action must still follow
+    # exactly, and its rows two letters, which the trie walk steps through
     basis = model_basis(5)
-    gens = _gens(basis)
+    gens, mats = _gens(basis), _matrices(basis)
     gens[2] = gens[2] @ gens[3]
-    entries = poly_entries(gens[2])
+    mats[2] = mats[2] @ mats[3]
+    entries = poly_entries(mats[2])
     assert max(sum(1 for (_, c) in entries if c == k) for k in range(basis.dim)) > 2
-    for word in ([1, 2, 3, 4], [2, 2], [4, 2, 1, 2]):
+    words = [[1, 2, 3, 4], [2, 2], [4, 2, 1, 2], [1, 2]]
+    expected = []
+    for word in words:
         product = PolyMatrix.identity(basis.dim)
         for i in word:
-            product = product @ gens[i]
-        assert rho_q_trace(word, basis, gens) == product.trace()
+            product = product @ mats[i]
+        expected.append(product.trace())
+        assert column_action_trace(word, basis, mats) == product.trace()
+    assert rho_q_trace(words, basis, gens) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_row_words_compare_and_specialize_as_their_matrices(n):
+    basis = model_basis(n)
+    gens, mats = _gens(basis), _matrices(basis)
+    words = [[], [1], [1, 1], [2, 1], [1, 2, 1], [2, 1, 2], [3, 1], [1, 3]]
+    words = [w for w in words if all(i < n for i in w)]
+    one = RowWord(basis.dim)
+    rows = [functools.reduce(operator.matmul, [gens[i] for i in w], one) for w in words]
+    products = [rho_q_of_word(w, basis) for w in words]
+    for a, pa in zip(rows, products):
+        assert a.specialize(1) == pa.specialize(1)
+        assert a.specialize(2) == pa.specialize(2)
+        for b, pb in zip(rows, products):
+            assert (a == b) == (pa == pb) and (a != b) == (pa != pb)
 
 
 def test_generator_arithmetic_builds_no_qpoly(monkeypatch):
-    gens = _gens(model_basis(6))
+    gens = _matrices(model_basis(6))
     built = []
     original = QPoly.__init__
 
@@ -395,29 +467,40 @@ def test_generator_arithmetic_builds_no_qpoly(monkeypatch):
 
 
 def _count_generator_builds(monkeypatch):
-    calls = []
-    original = model_hecke.rho_q_generator
+    """The row-word generator builds, and the generator matrices built or multiplied."""
+    calls, matrix_calls = [], []
 
-    def counted(i, basis):
-        calls.append(i)
-        return original(i, basis)
+    def counted(name, original, seen):
+        def wrapper(*a):
+            seen.append(name)
+            return original(*a)
 
-    monkeypatch.setattr(model_hecke, "rho_q_generator", counted)
-    return calls
+        return wrapper
+
+    monkeypatch.setattr(model_hecke, "rho_q_rows", counted("rows", model_hecke.rho_q_rows, calls))
+    monkeypatch.setattr(
+        model_hecke, "rho_q_generator", counted("build", rho_q_generator, matrix_calls)
+    )
+    monkeypatch.setattr(
+        PolyMatrix, "__matmul__", counted("matmul", PolyMatrix.__matmul__, matrix_calls)
+    )
+    return calls, matrix_calls
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_verify_builds_each_generator_once(n, monkeypatch):
-    calls = _count_generator_builds(monkeypatch)
+    calls, matrix_calls = _count_generator_builds(monkeypatch)
     assert verify_hecke_model(n).passed
     assert len(calls) <= n - 1
+    assert matrix_calls == []
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_characters_builds_each_generator_once(n, monkeypatch):
-    calls = _count_generator_builds(monkeypatch)
+    calls, matrix_calls = _count_generator_builds(monkeypatch)
     assert cli.main(["characters", "--kind", "hecke", "--n", str(n)]) == 0
     assert len(calls) <= n - 1
+    assert matrix_calls == []
 
 
 def test_unimodal_sum_examples():
@@ -449,10 +532,9 @@ def test_block_boundary_exclusion_is_essential():
 def test_q1_specialization_matches_group_model(n):
     basis = model_basis(n)
     for i in range(1, n):
-        assert (
-            rho_q_generator(i, basis).specialize(1)
-            == rho_generator_matrix(i, basis).entry_dict()
-        )
+        expected = rho_generator_matrix(i, basis).entry_dict()
+        assert rho_q_generator(i, basis).specialize(1) == expected
+        assert rho_q_rows(i, basis).specialize(1) == expected
 
 
 def _conj(s, v):

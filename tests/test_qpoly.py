@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gelfand import qpoly
+from gelfand.model_hecke import rho_q_rows
+from gelfand.model_sn import model_basis
 from gelfand.qpoly import (
     ONE, Q, SHIFT, ZERO, PolyMatrix, QPoly, minus_q_power, minus_q_sum, pack, unpack, write_matrix,
 )
@@ -147,6 +149,8 @@ def test_matrix_dim_mismatch():
         lambda: PolyMatrix.identity(2).add(PolyMatrix.identity(3)),
         lambda: from_entries(2, {(2, 0): ONE}),
         lambda: from_entries(2, [((0, -1), Q)]),
+        lambda: rho_q_rows(1, model_basis(2)) @ rho_q_rows(1, model_basis(3)),
+        lambda: rho_q_rows(1, model_basis(2)) == rho_q_rows(1, model_basis(3)),
     ],
 )
 def test_matrix_size_errors_are_refused(refused):

@@ -36,7 +36,7 @@ def test_sn_relation_failures_name_their_witness(monkeypatch):
 
 
 def test_hecke_relation_failures_name_their_witness(monkeypatch):
-    _break_generator(monkeypatch, model_hecke, "rho_q_generator", 2)
+    _break_generator(monkeypatch, model_hecke, "rho_q_rows", 2)
     assert _failures(model_hecke.verify_hecke_model(5)) == [
         ("quadratic relation (T + q)(T - 1) = 0 per generator", "fails at i=2"),
         ("distant generators commute", "fails at (2, 4)"),

@@ -1,10 +1,12 @@
+import functools
 import itertools
 import math
+import operator
 
 import pytest
 
 from gelfand import model_hecke, perm, rsk
-from gelfand.model_hecke import mu_descent_number, rho_q_generator, rho_q_trace, t_mu_word
+from gelfand.model_hecke import RowWord, mu_descent_number, rho_q_rows, rho_q_trace, t_mu_word
 from gelfand.model_sn import model_basis, rho_character, rho_matrix
 from gelfand.qpoly import QPoly, ZERO, minus_q_power, unpack
 from gelfand.rsk import (
@@ -207,10 +209,10 @@ def test_q1_values_match_border_strip_recursion(n):
 
 @pytest.mark.parametrize("n", range(2, 5))
 def test_characters_sum_to_model_trace(n):
-    from gelfand.model_hecke import hecke_model_character, rho_q_generator
+    from gelfand.model_hecke import hecke_model_character
 
     basis = model_basis(n)
-    gens = {i: rho_q_generator(i, basis) for i in range(1, n)}
+    gens = {i: rho_q_rows(i, basis) for i in range(1, n)}
     lams = list(perm.partitions(n))
     for mu in lams:
         total = ZERO
@@ -390,23 +392,21 @@ def _sn_block_traces(n):
 
 
 def _hecke_block_traces(n):
-    """(mu, k) -> the column-action trace of T_{w_mu}, as ``rho_q_trace`` takes it, summed over
-    the basis vectors with k 2-cycles."""
+    """(mu, k) -> the four-case trace of T_{w_mu}, as ``rho_q_trace`` takes it, summed over
+    the basis rows with k 2-cycles."""
     basis = model_basis(n)
     ks = _two_cycles(basis)
-    gens = {i: rho_q_generator(i, basis) for i in range(1, n)}
+    gens = {i: rho_q_rows(i, basis) for i in range(1, n)}
     cells = {}
     for mu in perm.partitions(n):
         word = t_mu_word(mu)
+        product = functools.reduce(operator.matmul, [gens[i] for i in word], RowWord(basis.dim))
         totals = [0] * (n // 2 + 1)
         for c in range(basis.dim):
-            vec = {c: 1}
-            for i in reversed(word):
-                vec = gens[i].apply(vec)
-            totals[ks[c]] += vec.get(c, 0)
+            totals[ks[c]] += product.times({c: 1}).get(c, 0)
         traces = [QPoly(enumerate(coeffs)) for coeffs in unpack(totals)]
         cells.update(((mu, k), t) for k, t in enumerate(traces))
-        assert sum(traces) == rho_q_trace(word, basis, gens)
+        assert [sum(traces)] == rho_q_trace([word], basis, gens)
     return cells
 
 
